@@ -13,10 +13,10 @@
 #include "util/cli.hpp"
 #include "util/tables.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int tool_main(const adacheck::util::CliArgs& args) {
   using namespace adacheck;
-  const util::CliArgs args(argc, argv,
-                           {"runs", "utilization", "lambda", "k"});
   sim::MonteCarloConfig config;
   config.runs = static_cast<int>(args.get_int("runs", 4'000));
   config.seed = 0xC057;
@@ -59,4 +59,11 @@ int main(int argc, char** argv) {
             << "\nExpected shape: cheap stores favor extra SCPs, cheap\n"
                "compares favor extra CCPs; both dominate plain A_D.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(
+      argc, argv, {"runs", "utilization", "lambda", "k"}, tool_main);
 }

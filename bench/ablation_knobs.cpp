@@ -38,10 +38,7 @@ sim::CellStats run(const sim::SimSetup& setup, bool recompute_at_commit,
       config);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv, {"runs", "utilization", "lambda", "k"});
+int tool_main(const adacheck::util::CliArgs& args) {
   sim::MonteCarloConfig config;
   config.runs = static_cast<int>(args.get_int("runs", 4'000));
   config.seed = 0x7B0B;
@@ -73,4 +70,11 @@ int main(int argc, char** argv) {
                "a little P and E; per-commit re-planning changes little\n"
                "(the paper re-plans only after faults).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(
+      argc, argv, {"runs", "utilization", "lambda", "k"}, tool_main);
 }

@@ -93,10 +93,7 @@ void sweep(const char* title, bool scp, double interval, double lambda,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv, {"runs", "interval", "lambda"});
+int tool_main(const adacheck::util::CliArgs& args) {
   const int runs = static_cast<int>(args.get_int("runs", 20'000));
   const double interval = args.get_double("interval", 800.0);
   const double lambda = args.get_double("lambda", 4e-3);
@@ -117,4 +114,11 @@ int main(int argc, char** argv) {
   }
   std::cout << table;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(
+      argc, argv, {"runs", "interval", "lambda"}, tool_main);
 }

@@ -10,9 +10,10 @@
 #include "util/cli.hpp"
 #include "util/tables.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int tool_main(const adacheck::util::CliArgs& args) {
   using namespace adacheck;
-  const util::CliArgs args(argc, argv, {"runs", "k"});
   sim::MonteCarloConfig config;
   config.runs = static_cast<int>(args.get_int("runs", 6'000));
   config.seed = 0x90D5;
@@ -51,4 +52,10 @@ int main(int argc, char** argv) {
                "aware intervals + cheap inner SCPs); adding DVS (A_D_S)\n"
                "keeps that P while trimming energy via low-speed phases.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(argc, argv, {"runs", "k"}, tool_main);
 }

@@ -11,10 +11,10 @@
 #include "util/cli.hpp"
 #include "util/tables.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int tool_main(const adacheck::util::CliArgs& args) {
   using namespace adacheck;
-  const util::CliArgs args(argc, argv,
-                           {"runs", "utilization", "lambda", "k"});
   sim::MonteCarloConfig config;
   config.runs = static_cast<int>(args.get_int("runs", 4'000));
   config.seed = 0x5BEED;
@@ -50,4 +50,11 @@ int main(int argc, char** argv) {
                "drops); large ratios restore P at higher energy; A_D_S\n"
                "dominates A_D throughout.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(
+      argc, argv, {"runs", "utilization", "lambda", "k"}, tool_main);
 }

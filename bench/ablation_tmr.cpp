@@ -16,9 +16,10 @@
 #include "util/cli.hpp"
 #include "util/tables.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int tool_main(const adacheck::util::CliArgs& args) {
   using namespace adacheck;
-  const util::CliArgs args(argc, argv, {"runs"});
   sim::MonteCarloConfig config;
   config.runs = static_cast<int>(args.get_int("runs", 4'000));
   config.seed = 0x73311;
@@ -58,4 +59,10 @@ int main(int argc, char** argv) {
                "the adaptive schemes; A_D_S still wins on energy because\n"
                "it can stay at the low speed longer.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(argc, argv, {"runs"}, tool_main);
 }

@@ -50,13 +50,8 @@ adacheck::harness::ExperimentSpec base_spec() {
   return spec;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int tool_main(const adacheck::util::CliArgs& args) {
   using namespace adacheck;
-  const util::CliArgs args(argc, argv,
-                           {"runs", "seed", "threads", "out", "envs",
-                            "no-perf"});
   sim::MonteCarloConfig config;
   config.runs = static_cast<int>(args.get_int("runs", 2'000));
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 0x5EED5EED));
@@ -95,4 +90,13 @@ int main(int argc, char** argv) {
             << sweep.perf.runs_per_second << " runs/s\n"
             << "wrote " << out_path << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(
+      argc, argv,
+      {"runs", "seed", "threads", "out", "envs", "no-perf"},
+      tool_main);
 }

@@ -16,14 +16,10 @@
 #include "util/cli.hpp"
 #include "util/tables.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int tool_main(const adacheck::util::CliArgs& args) {
   using namespace adacheck;
-  const util::CliArgs args(
-      argc, argv,
-      {"policy", "utilization", "lambda", "k", "deadline", "ts", "tcp",
-       "tr", "speed-ratio", "kappa", "redundancy", "util-level",
-       "baseline-level", "overhead-faults", "runs", "seed", "threads",
-       "validate"});
 
   const std::string policy = args.get_string("policy", "A_D_S");
   const double utilization = args.get_double("utilization", 0.8);
@@ -86,4 +82,15 @@ int main(int argc, char** argv) {
   }
   std::cout << table;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(
+      argc, argv,
+      {"policy", "utilization", "lambda", "k", "deadline", "ts", "tcp", "tr",
+       "speed-ratio", "kappa", "redundancy", "util-level", "baseline-level",
+       "overhead-faults", "runs", "seed", "threads", "validate"},
+      tool_main);
 }

@@ -70,15 +70,8 @@ double baseline_runs_per_second(const std::string& path) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int tool_main(const adacheck::util::CliArgs& args) {
   using namespace adacheck;
-  const util::CliArgs args(argc, argv,
-                           {"runs", "seed", "threads", "out", "tables",
-                            "baseline", "no-observer-check", "precision-runs",
-                            "precision-target", "no-precision-check",
-                            "no-telemetry-check", "validate", "no-perf"});
   sim::MonteCarloConfig config;
   config.runs = static_cast<int>(args.get_int("runs", 10'000));
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 0x5EED5EED));
@@ -250,4 +243,15 @@ int main(int argc, char** argv) {
   }
   std::cout << "wrote " << out_path << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(
+      argc, argv,
+      {"runs", "seed", "threads", "out", "tables", "baseline",
+       "no-observer-check", "precision-runs", "precision-target",
+       "no-precision-check", "no-telemetry-check", "validate", "no-perf"},
+      tool_main);
 }

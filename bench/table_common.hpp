@@ -19,10 +19,8 @@
 
 namespace adacheck::benchtool {
 
-inline int run_tables(int argc, char** argv,
-                      const std::vector<harness::ExperimentSpec>& specs) {
-  const util::CliArgs args(argc, argv, {"runs", "seed", "threads", "csv",
-                                        "extended", "validate"});
+inline int print_tables(const util::CliArgs& args,
+                        const std::vector<harness::ExperimentSpec>& specs) {
   sim::MonteCarloConfig config;
   config.runs = static_cast<int>(args.get_int("runs", 10'000));
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 0x5EED5EED));
@@ -53,6 +51,13 @@ inline int run_tables(int argc, char** argv,
     if (csv_file.is_open()) harness::write_csv(result, csv_file);
   }
   return 0;
+}
+
+inline int run_tables(int argc, char** argv,
+                      const std::vector<harness::ExperimentSpec>& specs) {
+  return util::run_tool(
+      argc, argv, {"runs", "seed", "threads", "csv", "extended", "validate"},
+      [&](const util::CliArgs& args) { return print_tables(args, specs); });
 }
 
 }  // namespace adacheck::benchtool

@@ -15,9 +15,10 @@
 #include "util/cli.hpp"
 #include "util/tables.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int tool_main(const adacheck::util::CliArgs& args) {
   using namespace adacheck;
-  const util::CliArgs args(argc, argv, {"horizon", "lambda"});
   const double horizon = args.get_double("horizon", 400'000.0);
   const double lambda = args.get_double("lambda", 1.2e-3);
 
@@ -89,4 +90,10 @@ int main(int argc, char** argv) {
                "adaptive DVS schemes absorb them; A_D_S does so with the\n"
                "least energy.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(argc, argv, {"horizon", "lambda"}, tool_main);
 }

@@ -17,9 +17,10 @@
 #include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int tool_main(const adacheck::util::CliArgs& args) {
   using namespace adacheck;
-  const util::CliArgs args(argc, argv, {"runs", "threads", "json"});
 
   // A grid the paper never printed: utilization from relaxed to
   // saturated, fault rates from benign to hostile, SCP-flavor costs.
@@ -68,4 +69,11 @@ int main(int argc, char** argv) {
                "collapses; A_D_S vs A_D_C shows the cost-flavor tradeoff\n"
                "on a grid the paper never tabulated.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(
+      argc, argv, {"runs", "threads", "json"}, tool_main);
 }

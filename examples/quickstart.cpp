@@ -17,10 +17,10 @@
 #include "util/cli.hpp"
 #include "util/tables.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int tool_main(const adacheck::util::CliArgs& args) {
   using namespace adacheck;
-  const util::CliArgs args(argc, argv,
-                           {"utilization", "lambda", "k", "runs"});
   const double utilization = args.get_double("utilization", 0.80);
   const double lambda = args.get_double("lambda", 1.4e-3);
   const int k = static_cast<int>(args.get_int("k", 5));
@@ -84,4 +84,11 @@ int main(int argc, char** argv) {
   }
   std::cout << table;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(
+      argc, argv, {"utilization", "lambda", "k", "runs"}, tool_main);
 }

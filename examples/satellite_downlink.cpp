@@ -42,11 +42,7 @@ model::FaultTrace extract_faults(const sim::RunResult& result) {
   return trace;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv, {"runs", "lambda-quiet", "saa-mult",
-                                        "quiet-dwell", "saa-dwell"});
+int tool_main(const adacheck::util::CliArgs& args) {
   const int runs = static_cast<int>(args.get_int("runs", 3'000));
   const double lambda_quiet = args.get_double("lambda-quiet", 6.0e-4);
   // SAA crossing: ~12x the quiet rate for ~250 time units out of every
@@ -150,4 +146,13 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(
+      argc, argv,
+      {"runs", "lambda-quiet", "saa-mult", "quiet-dwell", "saa-dwell"},
+      tool_main);
 }

@@ -17,10 +17,10 @@
 #include "util/cli.hpp"
 #include "util/tables.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int tool_main(const adacheck::util::CliArgs& args) {
   using namespace adacheck;
-  const util::CliArgs args(argc, argv,
-                           {"runs", "battery", "target-p", "jobs-per-day"});
   const int runs = static_cast<int>(args.get_int("runs", 3'000));
   const double battery = args.get_double("battery", 2.0e10);
   const double target_p = args.get_double("target-p", 0.999);
@@ -75,4 +75,11 @@ int main(int argc, char** argv) {
                "non-negligible; among the schemes that do meet it, A_D_S\n"
                "buys measurably more node-days than A_D.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(
+      argc, argv, {"runs", "battery", "target-p", "jobs-per-day"}, tool_main);
 }

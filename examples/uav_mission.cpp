@@ -33,10 +33,7 @@ struct MissionPhase {
   std::string environment_label;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv, {"runs", "battery"});
+int tool_main(const adacheck::util::CliArgs& args) {
   const int runs = static_cast<int>(args.get_int("runs", 4'000));
   // Battery budget in the same V^2*cycles units the simulator reports.
   const double battery = args.get_double("battery", 1.3e10);
@@ -118,4 +115,10 @@ int main(int argc, char** argv) {
                "quiet stretches relax its plan, trading a sliver of quiet-\n"
                "phase margin for burst responsiveness.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return adacheck::util::run_tool(argc, argv, {"runs", "battery"}, tool_main);
 }

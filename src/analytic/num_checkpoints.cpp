@@ -40,7 +40,7 @@ int fig2_optimize(double interval, int m_max, EvalContinuous r_cont,
 
 }  // namespace
 
-int num_scp(const ScpRenewalParams& params) {
+int num_scp_fig2(const ScpRenewalParams& params) {
   params.validate();
   const int m_max = max_sub_intervals(params.interval, params.costs);
   return fig2_optimize(
@@ -49,13 +49,35 @@ int num_scp(const ScpRenewalParams& params) {
       [&](int m) { return scp_expected_time(params, m); });
 }
 
-int num_ccp(const CcpRenewalParams& params) {
+int num_ccp_fig2(const CcpRenewalParams& params) {
   params.validate();
   const int m_max = max_sub_intervals(params.interval, params.costs);
   return fig2_optimize(
       params.interval, m_max,
       [&](double t2) { return ccp_expected_time_continuous(params, t2); },
       [&](int m) { return ccp_expected_time(params, m); });
+}
+
+int num_scp(const ScpRenewalParams& params) {
+  params.validate();
+  const int m_max = max_sub_intervals(params.interval, params.costs);
+  const auto best = util::integer_first_local_min(
+      [&](std::int64_t m) {
+        return scp_expected_time(params, static_cast<int>(m));
+      },
+      1, m_max);
+  return best ? static_cast<int>(best->x) : num_scp_fig2(params);
+}
+
+int num_ccp(const CcpRenewalParams& params) {
+  params.validate();
+  const int m_max = max_sub_intervals(params.interval, params.costs);
+  const auto best = util::integer_first_local_min(
+      [&](std::int64_t m) {
+        return ccp_expected_time(params, static_cast<int>(m));
+      },
+      1, m_max);
+  return best ? static_cast<int>(best->x) : num_ccp_fig2(params);
 }
 
 int num_scp_exhaustive(const ScpRenewalParams& params) {

@@ -6,8 +6,15 @@
 // (we use golden-section search — both R1 and R2 are unimodal in the
 // sub-interval length: cost explodes at T1 -> 0 from per-checkpoint
 // overhead and grows at T1 -> T from re-execution exposure), then
-// rounds m = T/T1~ to the better of floor/ceil.  num_*_exhaustive scans
-// integers directly and is used to validate the rounding heuristic.
+// rounds m = T/T1~ to the better of floor/ceil.  Because R(m) is
+// unimodal, that rounded m is the first integer where R stops falling,
+// so num_scp/num_ccp find it directly with an exact integer search
+// (O(log m) evaluations of R instead of Fig. 2's ~88) and return the
+// identical m.  num_*_fig2 keep the paper's procedure as the reference
+// and as the fallback when R is not finite (lambda*T in the hundreds,
+// where the costs overflow and only Fig. 2's tie-breaking among inf
+// values defines the answer).  num_*_exhaustive scan every integer and
+// are the ground truth both are tested against.
 #pragma once
 
 #include "analytic/renewal_ccp.hpp"
@@ -19,11 +26,17 @@ namespace adacheck::analytic {
 /// cheapest checkpoint operation are never useful.
 int max_sub_intervals(double interval, const model::CheckpointCosts& costs);
 
-/// Fig. 2 for SCPs: returns m >= 1 minimizing R1(m).
+/// num_SCP: returns m >= 1 minimizing R1(m) — Fig. 2's answer, found
+/// by integer search (Fig. 2 itself when R1 is not finite).
 int num_scp(const ScpRenewalParams& params);
 
-/// Fig. 2 analogue for CCPs: returns m >= 1 minimizing R2(m).
+/// num_CCP: returns m >= 1 minimizing R2(m), as num_scp does for R1.
 int num_ccp(const CcpRenewalParams& params);
+
+/// The paper's Fig. 2 procedure, unchanged: golden-section search on
+/// the continuous relaxation, then round to the better neighbor.
+int num_scp_fig2(const ScpRenewalParams& params);
+int num_ccp_fig2(const CcpRenewalParams& params);
 
 /// Exhaustive integer argmin over [1, max_sub_intervals] — ground truth
 /// for tests and the ablation bench.

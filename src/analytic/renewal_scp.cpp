@@ -1,8 +1,8 @@
 #include "analytic/renewal_scp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 namespace adacheck::analytic {
 
@@ -36,17 +36,18 @@ double scp_expected_time(const ScpRenewalParams& params, int m) {
   // incrementally: W(r+1) = q*(W(r) + q^0*... ) — note
   // W(r+1) = sum_{j=1..r} q^j G(r+1-j) = q * sum_{i=0..r-1} q^i G(r-i)
   //        = q * (G(r) + W(r)).
-  std::vector<double> G(static_cast<std::size_t>(m) + 1, 0.0);
+  // Only G(r) and W(r) feed step r+1, so two scalars carry it.
+  double G = 0.0;  // G(r) for current r
   double W = 0.0;  // W(r) for current r
   double q_pow_r = 1.0;
   for (int r = 1; r <= m; ++r) {
     q_pow_r *= q;
     const double S = static_cast<double>(r) * (t1 + ts) + tcp;
     const double rhs = S + (1.0 - q_pow_r) * tr + (1.0 - q) * W;
-    G[static_cast<std::size_t>(r)] = rhs / q;
-    W = q * (G[static_cast<std::size_t>(r)] + W);
+    G = rhs / q;
+    W = q * (G + W);
   }
-  return G[static_cast<std::size_t>(m)];
+  return G;
 }
 
 double scp_expected_time_continuous(const ScpRenewalParams& params,

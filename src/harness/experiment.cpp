@@ -90,9 +90,10 @@ std::vector<sim::CellJob> experiment_jobs(
       cell_config.seed = cell_seed(config.seed, r, s);
       if (spec.budget.enabled()) cell_config.budget = spec.budget;
       jobs.push_back(
-          {setup,
-           policy::make_policy_factory(spec.schemes[s], spec.util_level),
-           cell_config});
+          {.setup = setup,
+           .factory =
+               policy::make_policy_factory(spec.schemes[s], spec.util_level),
+           .config = cell_config});
     }
   }
   return jobs;

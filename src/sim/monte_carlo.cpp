@@ -361,7 +361,7 @@ CellResult run_cell_ex(const SimSetup& setup, const PolicyFactory& factory,
                        const MonteCarloConfig& config,
                        ISweepObserver* observer, CancellationToken* cancel) {
   std::vector<CellJob> jobs;
-  jobs.push_back({setup, factory, config});
+  jobs.push_back({.setup = setup, .factory = factory, .config = config});
   RunCellsOptions options;
   options.threads = config.threads;
   options.observer = observer;

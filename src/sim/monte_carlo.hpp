@@ -91,7 +91,8 @@ struct CellJob {
   MonteCarloConfig config;
   /// When set, runs chunks through this instead of the built-in
   /// engine loop; `setup`/`factory` are then ignored (and unvalidated).
-  ChunkRunner runner;
+  /// Defaulted so engine-loop jobs can leave it out of their initialiser.
+  ChunkRunner runner = {};
 };
 
 /// Execution knobs for run_cells_ex beyond the job list itself.

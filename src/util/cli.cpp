@@ -1,6 +1,8 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <filesystem>
+#include <iostream>
 #include <stdexcept>
 
 #include "util/text.hpp"
@@ -113,6 +115,34 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
   throw std::invalid_argument("flag --" + name + " expects a boolean, got '" +
                               *v + "'");
+}
+
+int run_tool(int argc, const char* const* argv,
+             std::vector<std::string> allowed,
+             const std::function<int(const CliArgs&)>& body) {
+  const std::string tool =
+      argc > 0 ? std::filesystem::path(argv[0]).filename().string() : "tool";
+  std::string usage = "usage: " + tool;
+  for (const auto& flag : allowed) {
+    usage += !flag.empty() && flag.back() == '!'
+                 ? " [--" + flag.substr(0, flag.size() - 1) + "]"
+                 : " [--" + flag + "=...]";
+  }
+  allowed.push_back("help!");
+  try {
+    const CliArgs args(argc, argv, std::move(allowed));
+    if (args.get_bool("help", false)) {
+      std::cerr << usage << "\n";
+      return 2;
+    }
+    return body(args);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << tool << ": " << e.what() << "\n" << usage << "\n";
+    return 2;
+  } catch (const std::exception& e) {
+    std::cerr << tool << ": " << e.what() << "\n";
+    return 1;
+  }
 }
 
 std::vector<std::string> split_csv(const std::string& value) {

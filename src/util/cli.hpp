@@ -7,6 +7,10 @@
 // the error lists the allowed flags (with a "did you mean" suggestion
 // when one is close).
 //
+// Single-verb tools (bench and example binaries) hand their main() to
+// run_tool, which turns --help and usage errors into a usage line on
+// stderr and exit code 2 instead of an uncaught exception.
+//
 // Subcommands: multi-verb tools (adacheck run/validate/list) peek the
 // verb with CliArgs::subcommand(argc, argv) first, then construct a
 // CliArgs with that verb's allowed-flag set; the verb stays in
@@ -14,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -56,6 +61,15 @@ class CliArgs {
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };
+
+/// main() of a single-verb tool: parses argv against `allowed` (plus
+/// --help) and returns body(args).  --help, an unknown flag, or a
+/// std::invalid_argument out of `body` (a malformed flag value) prints
+/// the problem and a usage line listing `allowed` to stderr and returns
+/// 2; any other std::exception is reported and returns 1.
+int run_tool(int argc, const char* const* argv,
+             std::vector<std::string> allowed,
+             const std::function<int(const CliArgs&)>& body);
 
 /// Splits a comma-separated flag value ("a,b,c") into its non-empty
 /// items — the list form used by --tables / --envs style flags.

@@ -276,9 +276,12 @@ TEST(BudgetedRun, MixedJobListKeepsBothPathsIdenticalAcrossThreads) {
   budgeted.budget.target_p_halfwidth = 0.02;
 
   std::vector<CellJob> jobs;
-  jobs.push_back({high_p_setup(), factory, fixed});
-  jobs.push_back({high_p_setup(), factory, budgeted});
-  jobs.push_back({rare_event_setup(), factory, fixed});
+  jobs.push_back(
+      {.setup = high_p_setup(), .factory = factory, .config = fixed});
+  jobs.push_back(
+      {.setup = high_p_setup(), .factory = factory, .config = budgeted});
+  jobs.push_back(
+      {.setup = rare_event_setup(), .factory = factory, .config = fixed});
 
   const auto serial = run_cells(jobs, 1);
   const auto parallel = run_cells(jobs, 4);
@@ -308,8 +311,10 @@ TEST(BudgetedRun, BudgetedCellMatchesStandaloneRun) {
   fixed.seed = 0x11;
 
   std::vector<CellJob> jobs;
-  jobs.push_back({high_p_setup(), factory, fixed});
-  jobs.push_back({high_p_setup(), factory, budgeted});
+  jobs.push_back(
+      {.setup = high_p_setup(), .factory = factory, .config = fixed});
+  jobs.push_back(
+      {.setup = high_p_setup(), .factory = factory, .config = budgeted});
   const auto batch = run_cells(jobs, 2);
   const auto standalone = run_cell(high_p_setup(), factory, budgeted);
   expect_same_stats(batch[1], standalone);
@@ -345,8 +350,10 @@ TEST(BudgetedRun, ObserverSeesEachCellOnceAndFinalProgressSettles) {
   fixed.seed = 4;
 
   std::vector<CellJob> jobs;
-  jobs.push_back({high_p_setup(), factory, budgeted});
-  jobs.push_back({high_p_setup(), factory, fixed});
+  jobs.push_back(
+      {.setup = high_p_setup(), .factory = factory, .config = budgeted});
+  jobs.push_back(
+      {.setup = high_p_setup(), .factory = factory, .config = fixed});
 
   RecordingObserver observer;
   RunCellsOptions options;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace adacheck::util {
 namespace {
 
@@ -112,6 +114,64 @@ TEST(CliArgs, HasAndGet) {
   EXPECT_FALSE(args.has("b"));
   EXPECT_EQ(args.get("a").value(), "1");
   EXPECT_FALSE(args.get("b").has_value());
+}
+
+/// run_tool on `argv` (after a "/path/to/tool" argv[0]); returns the
+/// exit code and leaves what it wrote to stderr in `err`.
+int run_tool_on(std::vector<const char*> argv,
+                const std::function<int(const CliArgs&)>& body,
+                std::string& err) {
+  argv.insert(argv.begin(), "/path/to/tool");
+  testing::internal::CaptureStderr();
+  const int code = run_tool(static_cast<int>(argv.size()), argv.data(),
+                            {"runs", "fast!"}, body);
+  err = testing::internal::GetCapturedStderr();
+  return code;
+}
+
+TEST(RunTool, PassesParsedArgsAndExitCodeThrough) {
+  std::string err;
+  const int code = run_tool_on(
+      {"--runs=7", "--fast"},
+      [](const CliArgs& args) {
+        return args.get_bool("fast", false) ? args.get_int("runs", 0) : -1;
+      },
+      err);
+  EXPECT_EQ(code, 7);
+  EXPECT_EQ(err, "");
+}
+
+TEST(RunTool, HelpPrintsUsageAndExitsTwo) {
+  std::string err;
+  bool ran = false;
+  const auto body = [&](const CliArgs&) { return ran = true, 0; };
+  EXPECT_EQ(run_tool_on({"--help"}, body, err), 2);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(err, "usage: tool [--runs=...] [--fast]\n");
+}
+
+TEST(RunTool, UsageErrorsExitTwoWithTheProblemAndUsage) {
+  std::string err;
+  const auto body = [](const CliArgs& args) {
+    return static_cast<int>(args.get_int("runs", 0));
+  };
+  EXPECT_EQ(run_tool_on({"--rusn=5"}, body, err), 2);
+  EXPECT_NE(err.find("tool: unknown flag --rusn (did you mean --runs?)"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("usage: tool [--runs=...] [--fast]"), std::string::npos);
+  // A malformed value only surfaces when the body reads it.
+  EXPECT_EQ(run_tool_on({"--runs=abc"}, body, err), 2);
+  EXPECT_NE(err.find("expects an integer"), std::string::npos) << err;
+}
+
+TEST(RunTool, OtherFailuresExitOne) {
+  std::string err;
+  const int code = run_tool_on(
+      {}, [](const CliArgs&) -> int { throw std::runtime_error("disk full"); },
+      err);
+  EXPECT_EQ(code, 1);
+  EXPECT_EQ(err, "tool: disk full\n");
 }
 
 }  // namespace

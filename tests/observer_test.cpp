@@ -36,7 +36,7 @@ std::vector<CellJob> three_jobs(int runs = 600) {
     MonteCarloConfig config;
     config.runs = runs;
     config.seed = 0x100 + static_cast<std::uint64_t>(j);
-    jobs.push_back({setup, factory, config});
+    jobs.push_back({.setup = setup, .factory = factory, .config = config});
   }
   return jobs;
 }

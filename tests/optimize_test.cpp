@@ -106,6 +106,104 @@ TEST(IntegerArgmin, RejectsEmptyRange) {
                std::invalid_argument);
 }
 
+/// A unimodal integer sequence with its minimum first reached at
+/// `bottom`, flat for `plateau` further steps, then rising; counts
+/// evaluations so tests can pin the search's cost.
+struct CountingValley {
+  std::int64_t bottom = 1;
+  std::int64_t plateau = 0;
+  int calls = 0;
+  double operator()(std::int64_t m) {
+    ++calls;
+    if (m < bottom) return 3.0 * static_cast<double>(bottom - m);
+    const std::int64_t past = m - bottom - plateau;
+    return past > 0 ? 0.5 * static_cast<double>(past) : 0.0;
+  }
+};
+
+int ceil_log2(std::int64_t m) {
+  int bits = 0;
+  while ((std::int64_t{1} << bits) < m) ++bits;
+  return bits;
+}
+
+TEST(IntegerFirstLocalMin, MatchesIntegerArgminOnUnimodalSequences) {
+  // Plateaus at the bottom, a minimum at the range's upper end, and
+  // ranges cut short of the plateau all resolve to integer_argmin's
+  // leftmost minimum.
+  for (std::int64_t bottom = 1; bottom <= 300; ++bottom) {
+    for (std::int64_t plateau : {0, 1, 3}) {
+      for (std::int64_t hi :
+           {bottom, bottom + 1, bottom + plateau + 2, 2 * bottom, 1'000L}) {
+        CountingValley valley{bottom, plateau};
+        const auto fast = integer_first_local_min(valley, 1, hi);
+        const auto scan = integer_argmin(
+            [&](std::int64_t m) { return CountingValley{bottom, plateau}(m); },
+            1, hi);
+        ASSERT_TRUE(fast.has_value());
+        EXPECT_EQ(fast->x, scan.x) << "bottom=" << bottom << " hi=" << hi;
+        EXPECT_DOUBLE_EQ(fast->fx, scan.fx);
+      }
+    }
+  }
+}
+
+TEST(IntegerFirstLocalMin, EvaluationCountIsLogarithmic) {
+  // Deterministic cost gate: gallop + bisect stays within
+  // 4*ceil(log2 m*) + 4 evaluations, where an exhaustive scan needs m*.
+  for (std::int64_t bottom = 1; bottom <= 4'096; ++bottom) {
+    CountingValley valley{bottom, 0};
+    const auto best = integer_first_local_min(valley, 1, 4'096);
+    ASSERT_TRUE(best.has_value());
+    ASSERT_EQ(best->x, bottom);
+    ASSERT_LE(valley.calls, 4 * ceil_log2(bottom) + 4)
+        << "bottom=" << bottom;
+  }
+}
+
+TEST(IntegerFirstLocalMin, MonotoneFallingEndsAtUpperBound) {
+  const auto best = integer_first_local_min(
+      [](std::int64_t m) { return -static_cast<double>(m); }, 1, 37);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->x, 37);
+  EXPECT_DOUBLE_EQ(best->fx, -37.0);
+}
+
+TEST(IntegerFirstLocalMin, HonorsLowerBoundAndSinglePointRange) {
+  CountingValley valley{40, 2};
+  EXPECT_EQ(integer_first_local_min(valley, 25, 90)->x, 40);
+  EXPECT_EQ(integer_first_local_min(valley, 41, 90)->x, 41);  // on plateau
+  EXPECT_EQ(integer_first_local_min(valley, 7, 7)->x, 7);
+}
+
+TEST(IntegerFirstLocalMin, CheckpointRenewalShape) {
+  // The shape num_SCP minimizes, sampled at integers.
+  const auto f = [](std::int64_t m) {
+    const double md = static_cast<double>(m);
+    return 400.0 / md + 1.7 * md;
+  };
+  const auto best = integer_first_local_min(f, 1, 1'000);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->x, integer_argmin(f, 1, 1'000).x);
+}
+
+TEST(IntegerFirstLocalMin, NonFiniteValueGivesUp) {
+  // inf or NaN anywhere the search looks hands the decision back to the
+  // caller instead of comparing non-finite values.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(
+      integer_first_local_min([&](std::int64_t) { return inf; }, 1, 100));
+  EXPECT_FALSE(
+      integer_first_local_min([&](std::int64_t) { return nan; }, 1, 100));
+  EXPECT_FALSE(integer_first_local_min(
+      [&](std::int64_t m) { return m == 2 ? inf : -static_cast<double>(m); },
+      1, 100));
+  EXPECT_FALSE(integer_first_local_min(
+      [&](std::int64_t m) { return m >= 9 ? nan : -static_cast<double>(m); },
+      1, 100));
+}
+
 TEST(BisectRoot, FindsSqrtTwo) {
   const double root = bisect_root(
       [](double x) { return x * x - 2.0; }, 0.0, 2.0);
