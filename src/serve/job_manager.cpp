@@ -25,7 +25,9 @@ struct ServeMetrics {
   obs::Counter& jobs_failed;
   obs::Counter& jobs_cancelled;
   obs::Counter& rejected_queue_full;
+  obs::Counter& jobs_evicted;
   obs::Gauge& queue_depth;
+  obs::Gauge& jobs_retained;
 
   static ServeMetrics& get() {
     static ServeMetrics* const metrics = new ServeMetrics{
@@ -34,7 +36,9 @@ struct ServeMetrics {
         obs::Registry::instance().counter("serve.jobs_failed"),
         obs::Registry::instance().counter("serve.jobs_cancelled"),
         obs::Registry::instance().counter("serve.rejected_queue_full"),
-        obs::Registry::instance().gauge("serve.queue_depth")};
+        obs::Registry::instance().counter("serve.jobs_evicted"),
+        obs::Registry::instance().gauge("serve.queue_depth"),
+        obs::Registry::instance().gauge("serve.jobs_retained")};
     return *metrics;
   }
 };
@@ -89,6 +93,26 @@ struct JobManager::Job {
   /// 0 when telemetry was off at submit time.
   std::uint64_t submitted_us = 0;
   std::uint64_t run_start_us = 0;
+  /// Live StreamReaders plus the executing worker; > 0 blocks eviction.
+  std::size_t pins = 0;
+
+  JobInfo info() const {
+    JobInfo info;
+    info.id = id;
+    info.name = request.scenario.name;
+    info.source = request.source;
+    info.state = state;
+    info.priority = request.priority;
+    info.cells_total = cells_total;
+    info.cells_done = cells_done;
+    info.runs_done = runs_done;
+    info.runs_executed = runs_executed;
+    info.jsonl_bytes = jsonl.size();
+    info.error = error;
+    info.wall_seconds =
+        state == JobState::kRunning ? seconds_since(started) : wall_seconds;
+    return info;
+  }
 };
 
 /// Observer bridging one job's sweep to the manager: feeds the
@@ -123,6 +147,7 @@ class JobManager::SweepAdapter final : public sim::ISweepObserver {
 
 JobManager::JobManager(Options options) : options_(std::move(options)) {
   if (options_.max_queued < 1) options_.max_queued = 1;
+  if (options_.max_retained < 1) options_.max_retained = 1;
   const int workers = options_.workers < 1 ? 1 : options_.workers;
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
@@ -176,6 +201,7 @@ std::uint64_t JobManager::record_invalid(std::string source,
   const std::uint64_t id = job->id;
   jobs_.emplace(id, std::move(job));
   count_terminal(JobState::kFailed);
+  retire_locked(id);
   stream_cv_.notify_all();
   return id;
 }
@@ -189,78 +215,103 @@ std::optional<JobInfo> JobManager::status(std::uint64_t id) const {
   std::unique_lock<std::mutex> lock(mu_);
   const Job* job = find_locked(id);
   if (job == nullptr) return std::nullopt;
-  JobInfo info;
-  info.id = job->id;
-  info.name = job->request.scenario.name;
-  info.source = job->request.source;
-  info.state = job->state;
-  info.priority = job->request.priority;
-  info.cells_total = job->cells_total;
-  info.cells_done = job->cells_done;
-  info.runs_done = job->runs_done;
-  info.runs_executed = job->runs_executed;
-  info.jsonl_bytes = job->jsonl.size();
-  info.error = job->error;
-  info.wall_seconds = job->state == JobState::kRunning
-                          ? seconds_since(job->started)
-                          : job->wall_seconds;
-  return info;
+  return job->info();
 }
 
 std::vector<JobInfo> JobManager::list() const {
-  std::vector<std::uint64_t> ids;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    ids.reserve(jobs_.size());
-    for (const auto& [id, job] : jobs_) ids.push_back(id);
-  }
+  std::unique_lock<std::mutex> lock(mu_);
   std::vector<JobInfo> infos;
-  infos.reserve(ids.size());
-  for (const auto id : ids) {
-    if (auto info = status(id)) infos.push_back(std::move(*info));
-  }
+  infos.reserve(jobs_.size());
+  for (const auto& [id, job] : jobs_) infos.push_back(job->info());
   return infos;
 }
 
-bool JobManager::cancel(std::uint64_t id) {
+std::optional<JobState> JobManager::cancel(std::uint64_t id) {
   std::unique_lock<std::mutex> lock(mu_);
   Job* job = find_locked(id);
-  if (job == nullptr) return false;
-  if (job->state == JobState::kQueued) {
-    job->state = JobState::kCancelled;
+  if (job == nullptr) return std::nullopt;
+  return cancel_locked(*job);
+}
+
+JobState JobManager::cancel_locked(Job& job) {
+  if (job.state == JobState::kQueued) {
+    job.state = JobState::kCancelled;
     --queued_;
     count_terminal(JobState::kCancelled);
     if (obs::Registry::instance().enabled()) {
       ServeMetrics::get().queue_depth.set(static_cast<long long>(queued_));
     }
     stream_cv_.notify_all();
-  } else if (job->state == JobState::kRunning) {
-    job->cancel.request_stop();
+    retire_locked(job.id);  // may evict `job` itself if all older are pinned
+    return JobState::kCancelled;
   }
-  return true;
+  if (job.state == JobState::kRunning) job.cancel.request_stop();
+  return job.state;
+}
+
+void JobManager::retire_locked(std::uint64_t id) {
+  retired_.push_back(id);
+  long long evicted = 0;
+  // Oldest first, passing over pinned jobs.
+  for (auto it = retired_.begin();
+       retired_.size() > options_.max_retained && it != retired_.end();) {
+    if (jobs_.at(*it)->pins > 0) {
+      ++it;
+      continue;
+    }
+    jobs_.erase(*it);
+    it = retired_.erase(it);
+    ++evicted;
+  }
+  if (obs::Registry::instance().enabled()) {
+    auto& metrics = ServeMetrics::get();
+    metrics.jobs_retained.set(static_cast<long long>(retired_.size()));
+    metrics.jobs_evicted.add(evicted);
+  }
+}
+
+JobManager::StreamReader::StreamReader(const JobManager& manager, Job& job)
+    : manager_(manager), job_(job) {}
+
+JobManager::StreamReader::~StreamReader() {
+  std::unique_lock<std::mutex> lock(manager_.mu_);
+  --job_.pins;
+}
+
+JobManager::StreamChunk JobManager::StreamReader::wait(
+    std::size_t offset) const {
+  std::unique_lock<std::mutex> lock(manager_.mu_);
+  manager_.stream_cv_.wait(lock, [&] {
+    return manager_.stop_ || is_terminal(job_.state) ||
+           job_.jsonl.size() > offset;
+  });
+  StreamChunk chunk;
+  chunk.state = job_.state;
+  if (offset < job_.jsonl.size()) {
+    chunk.bytes = job_.jsonl.substr(offset);
+  }
+  chunk.terminal = is_terminal(job_.state) &&
+                   offset + chunk.bytes.size() >= job_.jsonl.size();
+  // A manager shutdown must not leave streamers spinning on a job that
+  // will never progress again.
+  if (manager_.stop_) chunk.terminal = true;
+  return chunk;
+}
+
+std::optional<JobManager::StreamReader> JobManager::open_stream(
+    std::uint64_t id) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  Job* job = find_locked(id);
+  if (job == nullptr) return std::nullopt;
+  ++job->pins;
+  return std::optional<StreamReader>(std::in_place, *this, *job);
 }
 
 JobManager::StreamChunk JobManager::stream_wait(std::uint64_t id,
                                                 std::size_t offset) const {
-  std::unique_lock<std::mutex> lock(mu_);
-  const Job* job = find_locked(id);
-  if (job == nullptr) {
-    throw std::out_of_range("unknown job " + std::to_string(id));
-  }
-  stream_cv_.wait(lock, [&] {
-    return stop_ || is_terminal(job->state) || job->jsonl.size() > offset;
-  });
-  StreamChunk chunk;
-  chunk.state = job->state;
-  if (offset < job->jsonl.size()) {
-    chunk.bytes = job->jsonl.substr(offset);
-  }
-  chunk.terminal = is_terminal(job->state) &&
-                   offset + chunk.bytes.size() >= job->jsonl.size();
-  // A manager shutdown must not leave streamers spinning on a job that
-  // will never progress again.
-  if (stop_) chunk.terminal = true;
-  return chunk;
+  const auto reader = open_stream(id);
+  if (!reader) throw std::out_of_range("unknown job " + std::to_string(id));
+  return reader->wait(offset);
 }
 
 std::size_t JobManager::queued() const {
@@ -273,18 +324,13 @@ void JobManager::shutdown() {
     std::unique_lock<std::mutex> lock(mu_);
     if (!stop_) {
       stop_ = true;
+      // Collected first: cancelling a queued job retires it, and
+      // retiring may erase entries of jobs_.
+      std::vector<Job*> live;
       for (auto& [id, job] : jobs_) {
-        if (job->state == JobState::kQueued) {
-          job->state = JobState::kCancelled;
-          --queued_;
-          count_terminal(JobState::kCancelled);
-        } else if (job->state == JobState::kRunning) {
-          job->cancel.request_stop();
-        }
+        if (!is_terminal(job->state)) live.push_back(job.get());
       }
-      if (obs::Registry::instance().enabled()) {
-        ServeMetrics::get().queue_depth.set(static_cast<long long>(queued_));
-      }
+      for (Job* job : live) cancel_locked(*job);
     }
     queue_cv_.notify_all();
     stream_cv_.notify_all();
@@ -325,9 +371,11 @@ void JobManager::worker_loop() {
             job->submitted_us, job->run_start_us - job->submitted_us);
       }
     }
+    ++job->pins;  // execute() holds *job until it returns
     lock.unlock();
     execute(*job);
     lock.lock();
+    --job->pins;
     stream_cv_.notify_all();
   }
 }
@@ -341,6 +389,7 @@ void JobManager::execute(Job& job) {
     job.runs_executed = runs;
     job.wall_seconds = seconds_since(job.started);
     count_terminal(state);
+    retire_locked(job.id);
     if (job.run_start_us != 0 && obs::Registry::instance().enabled()) {
       obs::Tracer::instance().complete(
           "job " + std::to_string(job.id) + " run", "serve",

@@ -28,11 +28,21 @@
 // without simulating, and the job lands in kCancelled with its JSONL a
 // clean prefix (cells 0..k in index order) of the full stream.  No
 // cell completion is ever reported after the cancel took effect.
+//
+// Retention is bounded: the manager holds at most max_retained terminal
+// jobs, in completion order, and evicts the oldest one past the bound.
+// Queued and running jobs are never evicted, nor is a job pinned by a
+// live StreamReader or by the worker still returning from it (a pinned
+// job is passed over and evicted at a later completion, once
+// unpinned).  An evicted id is unknown to every query, exactly like an
+// id that was never issued.  Memory and the per-pick queue scan thus
+// stay flat however many jobs the process has seen.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -107,6 +117,9 @@ struct JobInfo {
 struct JobManagerOptions {
   /// Queued-job bound; submits past it throw QueueFull.
   std::size_t max_queued = 64;
+  /// Terminal-job bound; past it the oldest terminal job is evicted.
+  /// Clamped to >= 1.
+  std::size_t max_retained = 1024;
   /// Concurrent job executions (each internally parallel on the
   /// shared pool).  Clamped to >= 1.
   int workers = 2;
@@ -116,6 +129,8 @@ struct JobManagerOptions {
 };
 
 class JobManager {
+  struct Job;
+
  public:
   using Options = JobManagerOptions;
 
@@ -138,17 +153,18 @@ class JobManager {
   /// queue slot.
   std::uint64_t record_invalid(std::string source, std::string error);
 
-  /// Snapshot of one job; nullopt for unknown ids.
+  /// Snapshot of one job; nullopt for unknown or evicted ids.
   std::optional<JobInfo> status(std::uint64_t id) const;
 
-  /// Snapshots of every job, in id (= submission) order.
+  /// Snapshots of every retained job, in id (= submission) order.
   std::vector<JobInfo> list() const;
 
   /// Requests cancellation: a queued job is marked kCancelled on the
   /// spot, a running job's CancellationToken is flipped (the job lands
-  /// in kCancelled when its workers drain).  Returns false for unknown
-  /// ids; terminal jobs are left untouched (returns true).
-  bool cancel(std::uint64_t id);
+  /// in kCancelled when its workers drain).  Returns the job's state
+  /// right after the request, or nullopt for unknown or evicted ids;
+  /// terminal jobs are left untouched.
+  std::optional<JobState> cancel(std::uint64_t id);
 
   /// One live slice of a job's JSONL stream: bytes past `offset`
   /// (empty when the job is already terminal and fully read).
@@ -160,9 +176,33 @@ class JobManager {
     bool terminal = false;
   };
 
-  /// Blocks until the job has stream bytes past `offset`, reaches a
-  /// terminal state, or the manager shuts down; then returns the
-  /// available slice.  Throws std::out_of_range for unknown ids.
+  /// A registered streamer of one job.  While it lives the job is
+  /// never evicted, so a stream that opened always reaches its end.
+  /// Must not outlive its manager.
+  class StreamReader {
+   public:
+    /// Use open_stream(); `job` is a job of `manager`.
+    StreamReader(const JobManager& manager, Job& job);
+    ~StreamReader();
+
+    StreamReader(const StreamReader&) = delete;
+    StreamReader& operator=(const StreamReader&) = delete;
+
+    /// Blocks until the job has stream bytes past `offset`, reaches a
+    /// terminal state, or the manager shuts down; then returns the
+    /// available slice.
+    StreamChunk wait(std::size_t offset) const;
+
+   private:
+    const JobManager& manager_;
+    Job& job_;
+  };
+
+  /// Pins job `id` for streaming; nullopt for unknown or evicted ids.
+  std::optional<StreamReader> open_stream(std::uint64_t id) const;
+
+  /// One wait() of a reader opened for the call.  Throws
+  /// std::out_of_range for unknown or evicted ids.
   StreamChunk stream_wait(std::uint64_t id, std::size_t offset) const;
 
   /// Cancels every queued and running job, wakes all waiters, and
@@ -173,11 +213,16 @@ class JobManager {
   std::size_t queued() const;
 
  private:
-  struct Job;
   class SweepAdapter;
 
   void worker_loop();
   Job* find_locked(std::uint64_t id) const;
+  /// Cancels one queued or running job (see cancel()); returns its
+  /// state right after the request.
+  JobState cancel_locked(Job& job);
+  /// Records a job that just became terminal, then evicts the oldest
+  /// unpinned terminal jobs past max_retained.
+  void retire_locked(std::uint64_t id);
   /// Highest priority, lowest id among queued jobs; nullptr when none.
   Job* pick_locked();
   void execute(Job& job);
@@ -190,8 +235,10 @@ class JobManager {
   Options options_;
   mutable std::mutex mu_;
   mutable std::condition_variable queue_cv_;   ///< workers wait here
-  mutable std::condition_variable stream_cv_;  ///< stream_wait blocks here
+  /// StreamReader::wait blocks here.
+  mutable std::condition_variable stream_cv_;
   std::map<std::uint64_t, std::unique_ptr<Job>> jobs_;
+  std::deque<std::uint64_t> retired_;  ///< terminal ids, completion order
   std::uint64_t next_id_ = 1;
   std::size_t queued_ = 0;
   bool stop_ = false;

@@ -25,6 +25,12 @@
 // [, "queue_full": true]}; whenever a document was involved the
 // message names its source — the submitted path or "job <id>" — so
 // multi-job sessions stay debuggable.
+//
+// `list` reports the retained jobs only: the JobManager evicts the
+// oldest finished jobs past its retention bound, and an evicted id gets
+// the same "unknown job <id>" error from status/cancel/stream as an id
+// that was never issued.  A stream that has opened is never cut short
+// by eviction.
 #pragma once
 
 #include <cstdint>

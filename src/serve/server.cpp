@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -173,6 +174,10 @@ void Server::run() {
       ::close(fd);
       break;
     }
+    // Replies and stream chunks are small writes: with Nagle on, each
+    // one after the first waits for the client's delayed ACK (~40 ms).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     connection_fds_.push_back(fd);
     connection_threads_.emplace_back([this, fd] { handle_connection(fd); });
   }
@@ -240,14 +245,12 @@ bool Server::handle_line(Connection& conn, const std::string& line) {
       return conn.send(response);
     }
     case Request::Type::kCancel: {
-      std::string response;
-      if (!jobs_.cancel(request.job)) {
-        response = error_response(
-            "unknown job " + std::to_string(request.job), request.job);
-      } else {
-        response = cancel_response(request.job,
-                                   jobs_.status(request.job)->state);
-      }
+      const auto state = jobs_.cancel(request.job);
+      const std::string response =
+          state ? cancel_response(request.job, *state)
+                : error_response(
+                      "unknown job " + std::to_string(request.job),
+                      request.job);
       log('<', response);
       return conn.send(response);
     }
@@ -307,7 +310,9 @@ void Server::handle_submit(Connection& conn, const Request& request) {
 }
 
 void Server::handle_stream(Connection& conn, const Request& request) {
-  if (!jobs_.status(request.job)) {
+  // The reader pins the job against eviction until the EOT is out.
+  const auto reader = jobs_.open_stream(request.job);
+  if (!reader) {
     const std::string response = error_response(
         "unknown job " + std::to_string(request.job), request.job);
     log('<', response);
@@ -321,13 +326,7 @@ void Server::handle_stream(Connection& conn, const Request& request) {
   std::size_t offset = request.from;
   std::size_t streamed = 0;
   for (;;) {
-    JobManager::StreamChunk chunk;
-    try {
-      chunk = jobs_.stream_wait(request.job, offset);
-    } catch (const std::out_of_range& e) {
-      conn.send(error_response(e.what(), request.job));
-      return;
-    }
+    const JobManager::StreamChunk chunk = reader->wait(offset);
     if (!chunk.bytes.empty()) {
       if (!conn.send(chunk.bytes)) return;  // client went away
       offset += chunk.bytes.size();

@@ -5,7 +5,7 @@
 // any thread count, scheduling is highest-priority-first with FIFO
 // within a level, the queue applies backpressure instead of buffering
 // without bound, and cancellation lands promptly leaving a clean
-// stream prefix.
+// stream prefix, and only a bounded number of terminal jobs is kept.
 #include "serve/client.hpp"
 #include "serve/job_manager.hpp"
 #include "serve/protocol.hpp"
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -406,12 +407,118 @@ TEST(ServeJobManager, ShutdownCancelsEverythingAndUnblocksStreams) {
   EXPECT_THROW(manager->submit(request), std::runtime_error);
 }
 
+TEST(ServeJobManager, RetainsOnlyTheNewestTerminalJobs) {
+  JobManagerOptions options;
+  options.max_retained = 2;
+  JobManager manager(options);
+  JobRequest request;
+  request.scenario = mini_spec();
+  for (const std::uint64_t id : {1u, 2u, 3u, 4u}) {
+    ASSERT_EQ(manager.submit(request), id);
+    stream_all(manager, id);  // returns once the job is terminal
+  }
+  EXPECT_FALSE(manager.status(1).has_value());
+  EXPECT_FALSE(manager.status(2).has_value());
+  EXPECT_FALSE(manager.cancel(1).has_value());
+  EXPECT_THROW(manager.stream_wait(2, 0), std::out_of_range);
+  const auto jobs = manager.list();
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].id, 3u);
+  EXPECT_EQ(jobs[1].id, 4u);
+  EXPECT_EQ(jobs[1].state, JobState::kDone);
+}
+
+TEST(ServeJobManager, RetentionNeverEvictsQueuedOrRunningJobs) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+
+  JobManagerOptions options;
+  options.workers = 1;
+  options.max_retained = 1;
+  options.before_job = [&](std::uint64_t id) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (id == 1) cv.wait(lock, [&] { return release; });
+  };
+  JobManager manager(options);
+
+  JobRequest request;
+  request.scenario = mini_spec();
+  ASSERT_EQ(manager.submit(request), 1u);
+  wait_for_state(manager, 1, JobState::kRunning);
+  ASSERT_EQ(manager.submit(request), 2u);  // queued behind job 1
+  // Invalid submissions are terminal at once and count against the
+  // bound like any finished job.
+  EXPECT_EQ(manager.record_invalid("a", "bad"), 3u);
+  EXPECT_EQ(manager.record_invalid("b", "bad"), 4u);
+  EXPECT_EQ(manager.record_invalid("c", "bad"), 5u);
+  auto ids = [&] {
+    std::vector<std::uint64_t> out;
+    for (const auto& info : manager.list()) out.push_back(info.id);
+    return out;
+  };
+  EXPECT_EQ(ids(), (std::vector<std::uint64_t>{1, 2, 5}));
+  EXPECT_EQ(manager.status(1)->state, JobState::kRunning);
+  EXPECT_EQ(manager.status(2)->state, JobState::kQueued);
+
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  stream_all(manager, 2);
+  EXPECT_EQ(ids(), (std::vector<std::uint64_t>{2}));
+  EXPECT_EQ(manager.status(2)->state, JobState::kDone);
+}
+
+TEST(ServeJobManager, StreamReaderPinsItsJobPastTheBound) {
+  const auto spec = mini_spec();
+  const std::string reference = batch_jsonl(spec);
+  JobManagerOptions options;
+  options.max_retained = 2;
+  JobManager manager(options);
+  JobRequest request;
+  request.scenario = spec;
+
+  ASSERT_EQ(manager.submit(request), 1u);
+  std::string bytes;
+  {
+    const auto reader = manager.open_stream(1);
+    ASSERT_TRUE(reader.has_value());
+    bytes = reader->wait(0).bytes;  // mid-stream: at least one cell
+    wait_for_state(manager, 1, JobState::kDone);
+    // Jobs 2 and 3 finish while job 1 is still being read: job 1 is
+    // the oldest but pinned, so job 2 goes instead.
+    for (const std::uint64_t id : {2u, 3u}) {
+      ASSERT_EQ(manager.submit(request), id);
+      stream_all(manager, id);
+    }
+    EXPECT_FALSE(manager.status(2).has_value());
+    for (;;) {
+      const auto chunk = reader->wait(bytes.size());
+      bytes += chunk.bytes;
+      if (chunk.terminal) {
+        EXPECT_EQ(chunk.state, JobState::kDone);
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(bytes, reference);
+  // Unpinned, job 1 is evicted at the next completion.
+  ASSERT_EQ(manager.submit(request), 4u);
+  stream_all(manager, 4);
+  EXPECT_FALSE(manager.status(1).has_value());
+  EXPECT_TRUE(manager.status(3).has_value());
+  EXPECT_TRUE(manager.status(4).has_value());
+}
+
 // --- server (loopback socket round-trips) --------------------------------
 
 class ServeServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ServerOptions options;
+    options.jobs = jobs_options_;
     options.transcript = &transcript_;
     server_ = std::make_unique<Server>(std::move(options));
     runner_ = std::thread([this] { server_->run(); });
@@ -441,6 +548,37 @@ class ServeServerTest : public ::testing::Test {
            R"(, "scenario": )" + std::string(kMiniScenario) + "}";
   }
 
+  /// Reads a stream reply to its EOT line; returns the parsed EOT, or
+  /// null when the connection closed first.
+  util::json::Value drain_stream(LineClient& client, std::string* bytes) {
+    const auto opening = util::json::parse(client.recv_line().value());
+    EXPECT_TRUE(opening.find("ok")->as_bool());
+    for (;;) {
+      const auto line = client.recv_line();
+      if (!line) return util::json::Value();
+      if (line->find(kEotSchema) != std::string::npos) {
+        return util::json::parse(*line);
+      }
+      if (bytes != nullptr) *bytes += *line + "\n";
+    }
+  }
+
+  /// Polls `status` until job `id` is done.
+  void wait_done(LineClient& client, std::int64_t id) {
+    for (int i = 0; i < 10000; ++i) {
+      const auto status = rpc(
+          client, R"({"req": "status", "job": )" + std::to_string(id) + "}");
+      const auto* job = status.find("job");
+      ASSERT_NE(job, nullptr);
+      if (job->is_object() && job->find("state")->as_string() == "done") {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    FAIL() << "job " << id << " never completed";
+  }
+
+  JobManagerOptions jobs_options_;
   std::ostringstream transcript_;
   std::unique_ptr<Server> server_;
   std::thread runner_;
@@ -457,21 +595,12 @@ TEST_F(ServeServerTest, SubmitStatusStreamRoundTrip) {
 
   // Stream the whole job: opening response, raw cell lines, EOT.
   client.send_line(R"({"req": "stream", "job": 1})");
-  const auto opening = util::json::parse(client.recv_line().value());
-  EXPECT_TRUE(opening.find("ok")->as_bool());
   std::string bytes;
-  for (;;) {
-    const auto line = client.recv_line();
-    ASSERT_TRUE(line.has_value());
-    if (line->find(kEotSchema) != std::string::npos) {
-      const auto eot = util::json::parse(*line);
-      EXPECT_EQ(eot.find("state")->as_string(), "done");
-      EXPECT_EQ(eot.find("bytes")->as_int(),
-                static_cast<std::int64_t>(reference.size()));
-      break;
-    }
-    bytes += *line + "\n";
-  }
+  const auto eot = drain_stream(client, &bytes);
+  ASSERT_TRUE(eot.is_object());
+  EXPECT_EQ(eot.find("state")->as_string(), "done");
+  EXPECT_EQ(eot.find("bytes")->as_int(),
+            static_cast<std::int64_t>(reference.size()));
   EXPECT_EQ(bytes, reference);
 
   const auto status = rpc(client, R"({"req": "status", "job": 1})");
@@ -583,8 +712,11 @@ TEST_F(ServeServerTest, StatsReportsLiveCountersMonotonically) {
   EXPECT_GE(counters->find("serve.jobs_submitted")->as_int(), 1);
   const auto lists = counters->find("serve.requests.list")->as_int();
   EXPECT_GE(lists, 1);
-  // The queue-depth gauge and per-verb latency histograms exist too.
+  // The queue-depth and retention gauges, the eviction counter and the
+  // per-verb latency histograms exist too.
   ASSERT_NE(stats->find("gauges")->find("serve.queue_depth"), nullptr);
+  ASSERT_NE(stats->find("gauges")->find("serve.jobs_retained"), nullptr);
+  ASSERT_NE(counters->find("serve.jobs_evicted"), nullptr);
   const auto* latency =
       stats->find("histograms")->find("serve.request_us.list");
   ASSERT_NE(latency, nullptr);
@@ -611,6 +743,61 @@ TEST_F(ServeServerTest, MalformedLineIsAnErrorNotADisconnect) {
   // The connection survives for the next request.
   const auto list = rpc(client, R"({"req": "list"})");
   EXPECT_TRUE(list.find("ok")->as_bool());
+}
+
+TEST_F(ServeServerTest, StreamRepliesDoNotWaitForDelayedAcks) {
+  // A finished job's stream is pure I/O: opening line, cell bytes, EOT.
+  // Without TCP_NODELAY on the server socket every write after the
+  // first waits out the client's delayed ACK (40 ms on Linux), so the
+  // 20 ms bound leaves room for slow (sanitizer) builds.
+  LineClient client("127.0.0.1", server_->port());
+  ASSERT_TRUE(rpc(client, inline_submit()).find("ok")->as_bool());
+  wait_done(client, 1);
+  std::vector<double> millis;
+  for (int i = 0; i < 10; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    client.send_line(R"({"req": "stream", "job": 1})");
+    const auto eot = drain_stream(client, nullptr);
+    millis.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+    ASSERT_TRUE(eot.is_object());
+    EXPECT_EQ(eot.find("state")->as_string(), "done");
+  }
+  std::nth_element(millis.begin(), millis.begin() + 5, millis.end());
+  EXPECT_LT(millis[5], 20.0);
+}
+
+class ServeRetentionTest : public ServeServerTest {
+ protected:
+  ServeRetentionTest() { jobs_options_.max_retained = 2; }
+};
+
+TEST_F(ServeRetentionTest, EvictedJobsAreUnknownOverTheWire) {
+  const std::string reference = batch_jsonl(mini_spec());
+  LineClient client("127.0.0.1", server_->port());
+  for (int id = 1; id <= 4; ++id) {
+    ASSERT_EQ(rpc(client, inline_submit()).find("job")->as_int(), id);
+    wait_done(client, id);
+  }
+  for (const char* req : {"status", "stream", "cancel"}) {
+    const auto reply = rpc(client, std::string(R"({"req": ")") + req +
+                                       R"(", "job": 1})");
+    ASSERT_FALSE(reply.find("ok")->as_bool()) << req;
+    EXPECT_EQ(reply.find("error")->as_string(), "unknown job 1") << req;
+  }
+  const auto list = rpc(client, R"({"req": "list"})");
+  const auto& jobs = list.find("jobs")->as_array();
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].find("job")->as_int(), 3);
+  EXPECT_EQ(jobs[1].find("job")->as_int(), 4);
+  // A retained job still streams in full.
+  client.send_line(R"({"req": "stream", "job": 4})");
+  std::string bytes;
+  const auto eot = drain_stream(client, &bytes);
+  ASSERT_TRUE(eot.is_object());
+  EXPECT_EQ(eot.find("state")->as_string(), "done");
+  EXPECT_EQ(bytes, reference);
 }
 
 }  // namespace
