@@ -18,7 +18,7 @@
 
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
-#include "harness/json_writer.hpp"
+#include "obs/json_writer.hpp"
 #include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 #include "util/version.hpp"
@@ -69,9 +69,10 @@ int tool_main(const adacheck::util::CliArgs& args) {
     std::cerr << "cannot open output file: " << out_path << "\n";
     return 1;
   }
-  harness::JsonWriter json(out);
+  std::string text;
+  obs::JsonWriter json(text);
   json.begin_object();
-  json.kv("schema", std::string("adacheck-bench-campaign-v1"));
+  json.kv("schema", "adacheck-bench-campaign-v1");
   json.kv("version", util::version_string());
   json.kv("campaign", campaign_path);
   json.kv("cells", cold.plan.cells.size());
@@ -84,7 +85,7 @@ int tool_main(const adacheck::util::CliArgs& args) {
                          ? cold.wall_seconds / warm.wall_seconds
                          : 0.0);
   json.end_object();
-  out << "\n";
+  out << text << "\n";
   std::cerr << "wrote " << out_path << "\n";
   return 0;
 }

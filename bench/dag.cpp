@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "harness/json_writer.hpp"
 #include "model/checkpoint.hpp"
+#include "obs/json_writer.hpp"
 #include "sched/graph_executive.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/task_graph.hpp"
@@ -118,9 +118,10 @@ int tool_main(const adacheck::util::CliArgs& args) {
     std::cerr << "cannot open output file: " << out_path << "\n";
     return 1;
   }
-  harness::JsonWriter json(out);
+  std::string text;
+  obs::JsonWriter json(text);
   json.begin_object();
-  json.kv("schema", std::string("adacheck-bench-dag-v1"));
+  json.kv("schema", "adacheck-bench-dag-v1");
   json.kv("version", util::version_string());
   json.kv("graph", graph.name);
   json.kv("nodes", graph.nodes.size());
@@ -142,7 +143,7 @@ int tool_main(const adacheck::util::CliArgs& args) {
   }
   json.end_array();
   json.end_object();
-  out << "\n";
+  out << text << "\n";
   std::cerr << "wrote " << out_path << "\n";
   return 0;
 }

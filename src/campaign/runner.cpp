@@ -11,7 +11,7 @@
 #include <sstream>
 #include <utility>
 
-#include "harness/json_writer.hpp"
+#include "obs/json_writer.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "scenario/binder.hpp"
@@ -46,7 +46,7 @@ struct CampaignMetrics {
   }
 };
 
-void write_budget(harness::JsonWriter& json, const sim::RunBudget& budget) {
+void write_budget(obs::JsonWriter& json, const sim::RunBudget& budget) {
   json.begin_object();
   if (budget.target_p_halfwidth > 0.0) {
     json.kv("target_p_halfwidth", budget.target_p_halfwidth);
@@ -142,9 +142,10 @@ void cache_store(const std::string& cache_dir, const CampaignCell& cell,
   }
   std::ofstream out(meta_path(cache_dir, cell.fingerprint),
                     std::ios::binary | std::ios::trunc);
-  harness::JsonWriter json(out);
+  std::string meta;
+  obs::JsonWriter json(meta);
   json.begin_object();
-  json.kv("schema", std::string("adacheck-cache-meta-v1"));
+  json.kv("schema", "adacheck-cache-meta-v1");
   json.kv("fingerprint", cell.fingerprint);
   json.kv("code_version", util::version_string());
   json.kv("scenario", cell.resolved.name);
@@ -154,7 +155,7 @@ void cache_store(const std::string& cache_dir, const CampaignCell& cell,
   json.kv("total_runs", total_runs);
   json.kv("result_hash", result_hash);
   json.end_object();
-  out << "\n";
+  out << meta << "\n";
   if (!out) {
     throw std::runtime_error(
         meta_path(cache_dir, cell.fingerprint).string() + ": cannot write");
@@ -163,10 +164,10 @@ void cache_store(const std::string& cache_dir, const CampaignCell& cell,
 
 /// The deterministic adacheck-campaign-cell-v1 header line for a cell.
 std::string header_line(const CampaignCell& cell) {
-  std::ostringstream out;
-  harness::JsonWriter json(out, harness::JsonStyle::kCompact);
+  std::string out;
+  obs::JsonWriter json(out, obs::JsonStyle::kCompact);
   json.begin_object();
-  json.kv("schema", std::string("adacheck-campaign-cell-v1"));
+  json.kv("schema", "adacheck-campaign-cell-v1");
   json.kv("cell", cell.index);
   json.kv("scenario", cell.scenario_ref);
   json.kv("name", cell.resolved.name);
@@ -175,8 +176,8 @@ std::string header_line(const CampaignCell& cell) {
   json.kv("fingerprint", cell.fingerprint);
   json.kv("sweep_cells", cell.sweep_cells);
   json.end_object();
-  out << "\n";
-  return out.str();
+  out += '\n';
+  return out;
 }
 
 }  // namespace
@@ -187,8 +188,8 @@ std::string cell_fingerprint_document(
   // re-serialized canonically (sorted keys) before hashing.  What
   // matters is the field set — everything result-affecting, nothing
   // else (no threads, no titles, no output paths).
-  std::ostringstream out;
-  harness::JsonWriter json(out, harness::JsonStyle::kCompact);
+  std::string out;
+  obs::JsonWriter json(out, obs::JsonStyle::kCompact);
   json.begin_object();
   json.kv("code_version", util::version_string());
   json.key("config");
@@ -320,7 +321,7 @@ std::string cell_fingerprint_document(
     json.end_array();
   }
   json.end_object();
-  return util::canonical_json(util::json::parse(out.str()));
+  return util::canonical_json(util::json::parse(out));
 }
 
 std::string cell_fingerprint(const scenario::ScenarioSpec& resolved) {
@@ -640,12 +641,13 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   return result;
 }
 
-void write_campaign_json(const CampaignSpec& spec,
-                         const CampaignResult& result, std::ostream& os,
-                         const CampaignReportOptions& options) {
-  harness::JsonWriter json(os);
+std::string campaign_json(const CampaignSpec& spec,
+                          const CampaignResult& result,
+                          const CampaignReportOptions& options) {
+  std::string out;
+  obs::JsonWriter json(out);
   json.begin_object();
-  json.kv("schema", std::string("adacheck-campaign-report-v1"));
+  json.kv("schema", "adacheck-campaign-report-v1");
   json.kv("name", spec.name);
   json.kv("title", spec.title);
   json.key("config");
@@ -690,7 +692,7 @@ void write_campaign_json(const CampaignSpec& spec,
       const CellOutcome& outcome = result.outcomes[i];
       json.begin_object();
       json.kv("cell", i);
-      json.kv("status", std::string(to_string(outcome.status)));
+      json.kv("status", to_string(outcome.status));
       json.kv("runs_executed", outcome.runs_executed);
       if (!outcome.result_hash.empty()) {
         json.kv("result_hash", outcome.result_hash);
@@ -702,15 +704,14 @@ void write_campaign_json(const CampaignSpec& spec,
     json.end_object();
   }
   json.end_object();
-  os << "\n";
+  out += '\n';
+  return out;
 }
 
-std::string campaign_json(const CampaignSpec& spec,
-                          const CampaignResult& result,
-                          const CampaignReportOptions& options) {
-  std::ostringstream out;
-  write_campaign_json(spec, result, out, options);
-  return out.str();
+void write_campaign_json(const CampaignSpec& spec,
+                         const CampaignResult& result, std::ostream& os,
+                         const CampaignReportOptions& options) {
+  os << campaign_json(spec, result, options);
 }
 
 std::vector<CacheEntryInfo> cache_ls(const std::string& cache_dir) {

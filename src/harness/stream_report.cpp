@@ -1,11 +1,10 @@
 #include "harness/stream_report.hpp"
 
 #include <chrono>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "harness/json_writer.hpp"
+#include "harness/json_report.hpp"
 
 namespace adacheck::harness {
 
@@ -66,28 +65,25 @@ void JsonlCellStream::on_cell_done(std::size_t cell,
                            std::to_string(cell) + " outside the " +
                            std::to_string(refs_.size()) + " known refs");
   }
-  std::ostringstream line;
-  {
-    JsonWriter json(line, JsonStyle::kCompact);
-    const SweepCellRef& ref = refs_[cell];
-    const bool graph = ref.kind == SweepCellRef::Kind::kGraph;
-    json.begin_object();
-    json.kv("schema", std::string(graph ? "adacheck-graph-cell-v1"
-                                        : "adacheck-cell-v2"));
-    json.kv("cell", cell);
-    json.kv("experiment", ref.experiment_id);
-    json.kv("row", ref.row);
-    if (!graph) json.kv("utilization", ref.utilization);
-    json.kv("lambda", ref.lambda);
-    write_cell_fields(json, ref.scheme_name, result.stats, result.metrics);
-    json.end_object();
-  }
+  std::string line;
+  obs::JsonWriter json(line, obs::JsonStyle::kCompact);
+  const SweepCellRef& ref = refs_[cell];
+  const bool graph = ref.kind == SweepCellRef::Kind::kGraph;
+  json.begin_object();
+  json.kv("schema", graph ? "adacheck-graph-cell-v1" : "adacheck-cell-v2");
+  json.kv("cell", cell);
+  json.kv("experiment", ref.experiment_id);
+  json.kv("row", ref.row);
+  if (!graph) json.kv("utilization", ref.utilization);
+  json.kv("lambda", ref.lambda);
+  write_cell_fields(json, ref.scheme_name, result.stats, result.metrics);
+  json.end_object();
 
   // Emit in index order: buffer lines that finished ahead of their
   // predecessors, flush the run that just became contiguous.  The
   // stream is flushed per line so a tail -f (or a crashed sweep's
   // post-mortem) sees every completed cell.
-  pending_.emplace(cell, std::move(line).str());
+  pending_.emplace(cell, std::move(line));
   while (!pending_.empty() && pending_.begin()->first == next_) {
     os_ << pending_.begin()->second << '\n';
     pending_.erase(pending_.begin());

@@ -2,56 +2,13 @@
 
 #include <fstream>
 
+#include "obs/json_writer.hpp"
+
 namespace adacheck::obs {
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out.push_back(' ');  // control chars never appear in span names
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-}  // namespace
 
 Tracer& Tracer::instance() {
   static Tracer* const tracer = new Tracer();  // never destroyed
   return *tracer;
-}
-
-void Tracer::complete(std::string name, const char* category,
-                      std::uint64_t start_micros, std::uint64_t dur_micros) {
-  if (!enabled()) return;
-  Event event;
-  event.name = std::move(name);
-  event.category = category;
-  event.phase = 'X';
-  event.ts_micros = start_micros;
-  event.dur_micros = dur_micros;
-  event.tid = thread_id();
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(event));
 }
 
 void Tracer::complete(std::string name, const char* category,
@@ -96,9 +53,9 @@ void Tracer::write_json(std::ostream& os) const {
     first = false;
     line.clear();
     line += "  {\"name\": ";
-    append_escaped(line, event.name);
+    append_json_string(line, event.name);
     line += ", \"cat\": ";
-    append_escaped(line, event.category);
+    append_json_string(line, event.category);
     line += ", \"ph\": \"";
     line.push_back(event.phase);
     line += "\", \"ts\": ";

@@ -45,18 +45,14 @@ class Tracer {
   }
 
   /// Records a complete span ('X'); start/duration from the caller so
-  /// the span can be timed without holding the tracer lock.
-  void complete(std::string name, const char* category,
-                std::uint64_t start_micros, std::uint64_t dur_micros);
-
-  /// complete() with an explicit lane id instead of the calling
-  /// thread's.  For simulated-time spans (the DAG executive's worker
-  /// lanes): timestamps come from the simulation clock and the "tid"
-  /// is the simulated worker, so Perfetto renders the schedule rather
-  /// than the host threads.
+  /// the span can be timed without holding the tracer lock.  `tid`
+  /// defaults to the calling thread's id; simulated-time spans (the DAG
+  /// executive's worker lanes) pass the simulated worker instead, with
+  /// timestamps from the simulation clock, so Perfetto renders the
+  /// schedule rather than the host threads.
   void complete(std::string name, const char* category,
                 std::uint64_t start_micros, std::uint64_t dur_micros,
-                int tid);
+                int tid = thread_id());
 
   /// Records a zero-duration instant event ('i', thread scope).
   void instant(std::string name, const char* category);

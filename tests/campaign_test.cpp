@@ -14,6 +14,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "harness/json_report.hpp"
+#include "harness/stream_report.hpp"
+#include "scenario/binder.hpp"
 #include "scenario/spec.hpp"
 #include "util/version.hpp"
 
@@ -223,6 +226,36 @@ TEST(CampaignFingerprint, CarriesTheCodeVersion) {
       << doc;
   // The document is already canonical: re-canonicalizing is a no-op.
   EXPECT_EQ(util::canonical_json(util::json::parse(doc)), doc);
+}
+
+TEST(CampaignFingerprint, EmbeddedNulInAnIdIsKeptEverywhere) {
+  // The parser accepts \u0000, so an id may hold a NUL; every emitter
+  // must keep the bytes after it.  Ids "t\0a" and "t\0b" are two cells,
+  // never one cache entry.
+  const auto with_id = [](const std::string& id) {
+    std::string text = kMiniScenario;
+    const std::string from = "\"id\": \"mini\"";
+    text.replace(text.find(from), from.size(), "\"id\": \"" + id + "\"");
+    return scenario::parse_scenario_text(text);
+  };
+  const auto a = with_id("t\\u0000a");
+  const auto b = with_id("t\\u0000b");
+  const std::string id("t\0a", 3);
+  ASSERT_EQ(a.experiments[0].id, id);
+  EXPECT_NE(cell_fingerprint(a), cell_fingerprint(b));
+
+  std::ostringstream jsonl;
+  harness::JsonlCellStream stream(
+      jsonl, harness::sweep_cell_refs(scenario::bind_experiments(a)));
+  harness::SweepOptions options;
+  options.observer = &stream;
+  const auto sweep = scenario::run_scenario(a, options);
+  const auto report = util::json::parse(harness::sweep_json(sweep));
+  EXPECT_EQ(report.find("experiments")->as_array()[0].find("id")->as_string(),
+            id);
+  ASSERT_EQ(stream.emitted(), 1u);
+  EXPECT_EQ(util::json::parse(jsonl.str()).find("experiment")->as_string(),
+            id);
 }
 
 // --- planning ------------------------------------------------------------

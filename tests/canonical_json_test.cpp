@@ -52,6 +52,19 @@ TEST(CanonicalJson, ScalarsAndEscapes) {
   EXPECT_EQ(canon("[]"), "[]");
 }
 
+TEST(CanonicalJson, GoldenEscapesAndNumbers) {
+  // Minimal escaping: \t \r \" \\ short forms, other control bytes as
+  // \u00XX, DEL and UTF-8 verbatim.
+  EXPECT_EQ(canon(R"("t\t\r\u001f\u007fé \"q\" \\")"),
+            "\"t\\t\\r\\u001f\x7f\xc3\xa9 \\\"q\\\" \\\\\"");
+  EXPECT_EQ(canon(R"("a\u0000b")"), "\"a\\u0000b\"");
+  // Shortest round-trip spelling; 2^53 + 1 is not a double.
+  EXPECT_EQ(canon("[0.1, 1e-7, 1e21, -0.0, 5e-324, 1E2, 9007199254740993]"),
+            "[0.1,1e-07,1e+21,-0,5e-324,100,9007199254740992]");
+  EXPECT_EQ(canon(R"({"b": {}, "a": [], "é": null, "Z": [[], {}]})"),
+            "{\"Z\":[[],{}],\"a\":[],\"b\":{},\"\xc3\xa9\":null}");
+}
+
 TEST(CanonicalJson, MixedDocument) {
   EXPECT_EQ(
       canon("{\"b\": 1e2, \"a\": [1.5, \"x\\n\"], "

@@ -1,16 +1,20 @@
 // The strict JSON parser (util/json): value-tree construction,
 // line/column error reporting, and the round-trip pin against the
 // harness/json_report writer — parse(sweep_json(...)) must preserve
-// every key and value of the adacheck-sweep-v6 schema.
+// every key and value of the adacheck-sweep-v6 schema.  Also the golden
+// bytes of obs::JsonWriter, the one emitter every document goes through.
 #include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "harness/json_report.hpp"
 #include "harness/sweep.hpp"
+#include "obs/json_writer.hpp"
 #include "util/version.hpp"
 
 namespace adacheck::util::json {
@@ -311,6 +315,142 @@ TEST(JsonRoundTrip, InfeasibleCellEnergyIsNull) {
   const Value& row = doc.find("experiments")->as_array()[0]
                          .find("rows")->as_array()[1];
   EXPECT_TRUE(row.find("cells")->as_array()[0].find("e")->is_null());
+}
+
+
+// --- the writer's golden bytes (obs/json_writer) -------------------------
+//
+// Every report, JSONL line, protocol line and canonical document is
+// spelled by this writer, so these bytes pin all of them: escapes,
+// shortest round-trip numbers, non-finite -> null, integer extremes,
+// empty and nested containers, in both layouts.
+
+std::string golden_document(obs::JsonStyle style) {
+  std::string out;
+  obs::JsonWriter json(out, style);
+  json.begin_object();
+  json.kv("escapes", "q\" b\\ n\n t\t r\r us\x1f del\x7f utf8 \xc3\xa9");
+  json.kv("k\"ey", "v");
+  json.key("doubles");
+  json.begin_array();
+  for (const double v : {0.1, 1e-7, 1e21, -0.0, 5e-324, 2.5, 100.0,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    json.value(v);
+  }
+  json.end_array();
+  json.kv("int64_min", std::numeric_limits<std::int64_t>::min());
+  json.kv("uint64_max", std::numeric_limits<std::uint64_t>::max());
+  json.kv("size", std::size_t{42});
+  json.kv("flag", true);
+  json.key("empty_object");
+  json.begin_object();
+  json.end_object();
+  json.key("empty_array");
+  json.begin_array();
+  json.end_array();
+  json.key("nested");
+  json.begin_object();
+  json.key("a");
+  json.begin_array();
+  json.begin_object();
+  json.key("b");
+  json.begin_array();
+  json.end_array();
+  json.end_object();
+  json.begin_array();
+  json.value(false);
+  json.end_array();
+  json.end_array();
+  json.key("raw");
+  json.raw_value("{\"x\":1}");
+  json.end_object();
+  json.end_object();
+  return out;
+}
+
+TEST(JsonWriterGolden, Pretty) {
+  EXPECT_EQ(golden_document(obs::JsonStyle::kPretty),
+            "{\n"
+            "  \"escapes\": \"q\\\" b\\\\ n\\n t\\t r\\r us\\u001f del\x7f"
+            " utf8 \xc3\xa9\",\n"
+            "  \"k\\\"ey\": \"v\",\n"
+            "  \"doubles\": [\n"
+            "    0.1,\n"
+            "    1e-07,\n"
+            "    1e+21,\n"
+            "    -0,\n"
+            "    5e-324,\n"
+            "    2.5,\n"
+            "    100,\n"
+            "    null,\n"
+            "    null,\n"
+            "    null\n"
+            "  ],\n"
+            "  \"int64_min\": -9223372036854775808,\n"
+            "  \"uint64_max\": 18446744073709551615,\n"
+            "  \"size\": 42,\n"
+            "  \"flag\": true,\n"
+            "  \"empty_object\": {},\n"
+            "  \"empty_array\": [],\n"
+            "  \"nested\": {\n"
+            "    \"a\": [\n"
+            "      {\n"
+            "        \"b\": []\n"
+            "      },\n"
+            "      [\n"
+            "        false\n"
+            "      ]\n"
+            "    ],\n"
+            "    \"raw\": {\"x\":1}\n"
+            "  }\n"
+            "}");
+}
+
+TEST(JsonWriterGolden, Compact) {
+  EXPECT_EQ(golden_document(obs::JsonStyle::kCompact),
+            "{\"escapes\":\"q\\\" b\\\\ n\\n t\\t r\\r us\\u001f del\x7f"
+            " utf8 \xc3\xa9\",\"k\\\"ey\":\"v\",\"doubles\":[0.1,1e-07,"
+            "1e+21,-0,5e-324,2.5,100,null,null,null],"
+            "\"int64_min\":-9223372036854775808,"
+            "\"uint64_max\":18446744073709551615,\"size\":42,\"flag\":true,"
+            "\"empty_object\":{},\"empty_array\":[],"
+            "\"nested\":{\"a\":[{\"b\":[]},[false]],\"raw\":{\"x\":1}}}");
+}
+
+TEST(JsonWriterGolden, EmptyRootContainers) {
+  for (const auto style : {obs::JsonStyle::kPretty, obs::JsonStyle::kCompact}) {
+    std::string out;
+    obs::JsonWriter json(out, style);
+    json.begin_array();
+    json.end_array();
+    EXPECT_EQ(out, "[]");
+  }
+}
+
+TEST(JsonWriterGolden, EmbeddedNulIsEscapedNotTruncated) {
+  std::string out;
+  obs::JsonWriter json(out, obs::JsonStyle::kCompact);
+  json.begin_object();
+  json.kv(std::string_view("k\0x", 3), std::string("t\0a", 3));
+  json.end_object();
+  EXPECT_EQ(out, "{\"k\\u0000x\":\"t\\u0000a\"}");
+  EXPECT_EQ(parse(out).find(std::string("k\0x", 3))->as_string(),
+            std::string("t\0a", 3));
+}
+
+TEST(JsonWriterGolden, StringLiteralIsAStringNotABool) {
+  // A literal decays to const char*, whose conversion to bool would
+  // otherwise beat the user-defined conversion to string_view.
+  std::string out;
+  obs::JsonWriter json(out, obs::JsonStyle::kCompact);
+  json.begin_object();
+  json.kv("state", "done");
+  const char* pointer = "queued";
+  json.kv("next", pointer);
+  json.end_object();
+  EXPECT_EQ(out, "{\"state\":\"done\",\"next\":\"queued\"}");
 }
 
 }  // namespace

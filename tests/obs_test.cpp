@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -134,6 +135,74 @@ TEST(ObsRegistry, StatsJsonParsesAndCarriesTheSchema) {
           stats_json(registry.snapshot(), false))));
 }
 
+TEST(ObsRegistry, StatsJsonGoldenBytes) {
+  // Integral quantiles keep a ".0" (p50 12 -> 12.0, p90 0 -> 0.0) unless
+  // the shortest form already reads as floating (1e+21); non-finite
+  // quantiles are null; an empty section is {} in both layouts.
+  StatsSnapshot snapshot;
+  snapshot.counters = {{"campaign.cache_hits", 4}, {"neg", -5}};
+  StatsSnapshot::Histo histo;
+  histo.name = "serve.request_us.list";
+  histo.count = 3;
+  histo.sum_micros = 40;
+  histo.max_micros = 20;
+  histo.p50_micros = 12.0;
+  histo.p90_micros = 12.5;
+  histo.p99_micros = std::numeric_limits<double>::infinity();
+  snapshot.histograms.push_back(histo);
+  histo.name = "big";
+  histo.p50_micros = 1e21;
+  histo.p90_micros = 0.0;
+  histo.p99_micros = std::numeric_limits<double>::quiet_NaN();
+  snapshot.histograms.push_back(histo);
+
+  EXPECT_EQ(stats_json(snapshot, true),
+            "{\n"
+            "  \"schema\": \"adacheck-stats-v1\",\n"
+            "  \"counters\": {\n"
+            "    \"campaign.cache_hits\": 4,\n"
+            "    \"neg\": -5\n"
+            "  },\n"
+            "  \"gauges\": {},\n"
+            "  \"histograms\": {\n"
+            "    \"serve.request_us.list\": {\n"
+            "      \"count\": 3,\n"
+            "      \"sum_micros\": 40,\n"
+            "      \"max_micros\": 20,\n"
+            "      \"p50_micros\": 12.0,\n"
+            "      \"p90_micros\": 12.5,\n"
+            "      \"p99_micros\": null\n"
+            "    },\n"
+            "    \"big\": {\n"
+            "      \"count\": 3,\n"
+            "      \"sum_micros\": 40,\n"
+            "      \"max_micros\": 20,\n"
+            "      \"p50_micros\": 1e+21,\n"
+            "      \"p90_micros\": 0.0,\n"
+            "      \"p99_micros\": null\n"
+            "    }\n"
+            "  }\n"
+            "}\n");
+  EXPECT_EQ(stats_json(snapshot, false),
+            "{\"schema\":\"adacheck-stats-v1\",\"counters\":"
+            "{\"campaign.cache_hits\":4,\"neg\":-5},\"gauges\":{},"
+            "\"histograms\":{\"serve.request_us.list\":{\"count\":3,"
+            "\"sum_micros\":40,\"max_micros\":20,\"p50_micros\":12.0,"
+            "\"p90_micros\":12.5,\"p99_micros\":null},\"big\":{\"count\":3,"
+            "\"sum_micros\":40,\"max_micros\":20,\"p50_micros\":1e+21,"
+            "\"p90_micros\":0.0,\"p99_micros\":null}}}");
+  EXPECT_EQ(stats_json(StatsSnapshot{}, false),
+            "{\"schema\":\"adacheck-stats-v1\",\"counters\":{},"
+            "\"gauges\":{},\"histograms\":{}}");
+  EXPECT_EQ(stats_json(StatsSnapshot{}, true),
+            "{\n"
+            "  \"schema\": \"adacheck-stats-v1\",\n"
+            "  \"counters\": {},\n"
+            "  \"gauges\": {},\n"
+            "  \"histograms\": {}\n"
+            "}\n");
+}
+
 // ---------------------------------------------------------------------
 // Tracer
 
@@ -177,6 +246,44 @@ TEST(ObsTracer, BuffersSpansAndInstants) {
 
   tracer.clear();
   EXPECT_EQ(tracer.event_count(), 0u);
+}
+
+TEST(ObsTracer, WriteJsonGoldenBytes) {
+  Tracer tracer;  // a private instance: the process-wide one stays clean
+  tracer.set_enabled(true);
+  tracer.complete("chunk \"7\" \\ \xc3\xa9", "sweep", 100, 50, 3);
+  tracer.instant("budget_stop", "sweep");
+  std::ostringstream out;
+  tracer.write_json(out);
+  // The instant's timestamp is the clock's; read it back to pin the rest.
+  const auto root = util::json::parse(out.str());
+  const util::json::Value* events = root.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->as_array().size(), 2u);
+  const std::string instant_ts =
+      std::to_string(events->as_array()[1].find("ts")->as_int());
+  EXPECT_EQ(out.str(),
+            "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n"
+            "  {\"name\": \"chunk \\\"7\\\" \\\\ \xc3\xa9\", \"cat\": "
+            "\"sweep\", \"ph\": \"X\", \"ts\": 100, \"dur\": 50, "
+            "\"pid\": 1, \"tid\": 3},\n"
+            "  {\"name\": \"budget_stop\", \"cat\": \"sweep\", \"ph\": \"i\", "
+            "\"ts\": " + instant_ts + ", \"s\": \"t\", \"pid\": 1, "
+            "\"tid\": " + std::to_string(thread_id()) + "}\n"
+            "]}\n");
+}
+
+TEST(ObsTracer, ControlCharactersInNamesAreEscaped) {
+  Tracer tracer;
+  tracer.set_enabled(true);
+  tracer.complete("a\x01" "b\rc", "sweep", 1, 2, 0);
+  std::ostringstream out;
+  tracer.write_json(out);
+  EXPECT_NE(out.str().find("\"name\": \"a\\u0001b\\rc\""), std::string::npos)
+      << out.str();
+  EXPECT_EQ(util::json::parse(out.str())
+                .find("traceEvents")->as_array()[0].find("name")->as_string(),
+            "a\x01" "b\rc");
 }
 
 TEST(ObsTracer, SpanGatesOnEnabledAtConstruction) {

@@ -44,9 +44,9 @@
 #include "campaign/spec.hpp"
 #include "cli/command.hpp"
 #include "harness/json_report.hpp"
-#include "harness/json_writer.hpp"
 #include "harness/stream_report.hpp"
 #include "model/fault_env.hpp"
+#include "obs/json_writer.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "policy/factory.hpp"
@@ -829,10 +829,10 @@ int cmd_submit(const util::CliArgs& args) {
     return 2;
   }
 
-  std::ostringstream request;
-  harness::JsonWriter json(request, harness::JsonStyle::kCompact);
+  std::string request;
+  obs::JsonWriter json(request, obs::JsonStyle::kCompact);
   json.begin_object();
-  json.kv("req", std::string("submit"));
+  json.kv("req", "submit");
   json.key("scenario");
   json.raw_value(util::canonical_json(document));
   if (priority != 0) json.kv("priority", priority);
@@ -843,7 +843,7 @@ int cmd_submit(const util::CliArgs& args) {
   const std::string host = args.get_string("host", "127.0.0.1");
   try {
     serve::LineClient client(host, port);
-    client.send_line(request.str());
+    client.send_line(request);
     const auto reply = client.recv_line();
     if (!reply) {
       std::cerr << "submit: daemon closed the connection\n";
