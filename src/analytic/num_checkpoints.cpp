@@ -58,12 +58,14 @@ int num_ccp_fig2(const CcpRenewalParams& params) {
       [&](int m) { return ccp_expected_time(params, m); });
 }
 
+// The searches validate once and probe only m >= 1, so they evaluate
+// R through the unchecked kernels.
 int num_scp(const ScpRenewalParams& params) {
   params.validate();
   const int m_max = max_sub_intervals(params.interval, params.costs);
   const auto best = util::integer_first_local_min(
       [&](std::int64_t m) {
-        return scp_expected_time(params, static_cast<int>(m));
+        return scp_expected_time_unchecked(params, static_cast<int>(m));
       },
       1, m_max);
   return best ? static_cast<int>(best->x) : num_scp_fig2(params);
@@ -72,9 +74,11 @@ int num_scp(const ScpRenewalParams& params) {
 int num_ccp(const CcpRenewalParams& params) {
   params.validate();
   const int m_max = max_sub_intervals(params.interval, params.costs);
+  const double growth = ccp_growth(params);
   const auto best = util::integer_first_local_min(
       [&](std::int64_t m) {
-        return ccp_expected_time(params, static_cast<int>(m));
+        return ccp_expected_time_unchecked(params, growth,
+                                           static_cast<int>(m));
       },
       1, m_max);
   return best ? static_cast<int>(best->x) : num_ccp_fig2(params);

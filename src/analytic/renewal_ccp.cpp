@@ -14,24 +14,33 @@ void CcpRenewalParams::validate() const {
 }
 
 namespace {
-double ccp_closed_form(const CcpRenewalParams& params, double t2, double m) {
+/// `growth` is ccp_growth(params); it is only read when lambda > 0.
+double ccp_closed_form(const CcpRenewalParams& params, double growth,
+                       double t2, double m) {
   const double mu = params.lambda;
-  const double T = params.interval;
   const double ts = params.costs.store;
   const double tcp = params.costs.compare;
   const double tr = params.costs.rollback;
   if (mu == 0.0) return m * (t2 + tcp) + ts;  // fault-free straight line
-  const double growth = std::expm1(mu * T);         // e^{mu T} - 1
   const double q_complement = -std::expm1(-mu * t2);  // 1 - e^{-mu T2}
   return ts + (t2 + tcp) * growth / q_complement + tr * growth;
 }
 }  // namespace
 
+double ccp_growth(const CcpRenewalParams& params) {
+  return std::expm1(params.lambda * params.interval);
+}
+
 double ccp_expected_time(const CcpRenewalParams& params, int m) {
   params.validate();
   if (m < 1) throw std::invalid_argument("ccp_expected_time: m < 1");
+  return ccp_expected_time_unchecked(params, ccp_growth(params), m);
+}
+
+double ccp_expected_time_unchecked(const CcpRenewalParams& params,
+                                   double growth, int m) {
   const double md = static_cast<double>(m);
-  return ccp_closed_form(params, params.interval / md, md);
+  return ccp_closed_form(params, growth, params.interval / md, md);
 }
 
 double ccp_expected_time_continuous(const CcpRenewalParams& params,
@@ -41,7 +50,8 @@ double ccp_expected_time_continuous(const CcpRenewalParams& params,
     throw std::invalid_argument(
         "ccp_expected_time_continuous: need 0 < T2 <= T");
   }
-  return ccp_closed_form(params, t2, params.interval / t2);
+  return ccp_closed_form(params, ccp_growth(params), t2,
+                         params.interval / t2);
 }
 
 double ccp_expected_time_recursive(const CcpRenewalParams& params, int m) {

@@ -34,6 +34,15 @@ struct CcpRenewalParams {
 /// Closed-form expected completion time R2(m), m >= 1.
 double ccp_expected_time(const CcpRenewalParams& params, int m);
 
+/// e^{mu*T} - 1, the factor R2 shares across every m of one interval.
+double ccp_growth(const CcpRenewalParams& params);
+
+/// ccp_expected_time without the argument checks, for solvers that
+/// validate `params` once and then evaluate many m >= 1; `growth` is
+/// ccp_growth(params).
+double ccp_expected_time_unchecked(const CcpRenewalParams& params,
+                                   double growth, int m);
+
 /// Continuous relaxation R2(T2) for the Fig. 2-style optimizer,
 /// 0 < T2 <= T (evaluated without integer rounding — the closed form is
 /// well-defined for real m = T/T2).

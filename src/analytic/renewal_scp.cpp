@@ -16,6 +16,10 @@ void ScpRenewalParams::validate() const {
 double scp_expected_time(const ScpRenewalParams& params, int m) {
   params.validate();
   if (m < 1) throw std::invalid_argument("scp_expected_time: m < 1");
+  return scp_expected_time_unchecked(params, m);
+}
+
+double scp_expected_time_unchecked(const ScpRenewalParams& params, int m) {
   const double T = params.interval;
   const double t1 = T / static_cast<double>(m);
   const double ts = params.costs.store;
@@ -67,24 +71,6 @@ double scp_expected_time_continuous(const ScpRenewalParams& params,
   if (frac < 1e-12) return at_floor;
   const double at_ceil = scp_expected_time(params, m_floor + 1);
   return (1.0 - frac) * at_floor + frac * at_ceil;
-}
-
-double scp_expected_time_first_order(const ScpRenewalParams& params, int m) {
-  params.validate();
-  if (m < 1) throw std::invalid_argument("m < 1");
-  const double T = params.interval;
-  const double md = static_cast<double>(m);
-  const double t1 = T / md;
-  const double mu = params.lambda;
-  const double q = std::exp(-mu * t1);
-  const double S = T + md * params.costs.store + params.costs.compare;
-  // One fault in sub-interval j costs a rollback plus re-execution of
-  // the (m - j + 1) trailing sub-intervals and the CSCP; averaging j
-  // uniformly (first-order in mu*T) gives (m+1)/2 sub-intervals redone.
-  const double p_fault = 1.0 - std::pow(q, md);
-  const double redo = 0.5 * (md + 1.0) * (t1 + params.costs.store) +
-                      params.costs.compare + params.costs.rollback;
-  return S + p_fault * redo;
 }
 
 }  // namespace adacheck::analytic

@@ -35,16 +35,14 @@ struct ScpRenewalParams {
 /// sub-intervals.  O(m) per call via suffix sums.  m >= 1.
 double scp_expected_time(const ScpRenewalParams& params, int m);
 
+/// scp_expected_time without the argument checks, for solvers that
+/// validate `params` once and then evaluate many m >= 1.
+double scp_expected_time_unchecked(const ScpRenewalParams& params, int m);
+
 /// Continuous relaxation R1(T1) used by the Fig. 2 optimizer: evaluates
 /// the recursion at m = T/T1 rounded to the nearest integer >= 1, with
 /// the interval rescaled so sub-intervals have exactly length T1 where
 /// possible.  Defined for 0 < T1 <= T.
 double scp_expected_time_continuous(const ScpRenewalParams& params, double t1);
-
-/// First-order closed-form approximation of R1(m) for small fault
-/// probability per interval (used as a cross-check and in docs):
-/// R1(m) ~ S(m) + (1 - q^m)*(t_r + expected re-execution).  Exposed for
-/// tests that verify the recursion's asymptotics.
-double scp_expected_time_first_order(const ScpRenewalParams& params, int m);
 
 }  // namespace adacheck::analytic

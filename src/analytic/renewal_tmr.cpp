@@ -1,5 +1,6 @@
 #include "analytic/renewal_tmr.hpp"
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -75,10 +76,22 @@ double tmr_scp_expected_time(const TmrRenewalParams& params, int m) {
   const double stay1 = std::exp(-2.0 * params.lambda * t1 / 3.0);
 
   // pi0[j], pi1[j]: state distribution after j windows (absorbing loss);
-  // b[j]: probability the majority is first lost in window j.
-  std::vector<double> pi0(static_cast<std::size_t>(m) + 1, 0.0);
-  std::vector<double> pi1(static_cast<std::size_t>(m) + 1, 0.0);
-  std::vector<double> b(static_cast<std::size_t>(m) + 1, 0.0);
+  // b[j]: probability the majority is first lost in window j; G below.
+  // The four tables share one buffer, inline for the small m an
+  // adaptive decision probes so re-planning stays off the heap.
+  const auto len = static_cast<std::size_t>(m) + 1;
+  constexpr std::size_t kInlineLen = 65;
+  std::array<double, 4 * kInlineLen> inline_tables{};
+  std::vector<double> spilled;
+  double* tables = inline_tables.data();
+  if (len > kInlineLen) {
+    spilled.assign(4 * len, 0.0);
+    tables = spilled.data();
+  }
+  double* const pi0 = tables;
+  double* const pi1 = tables + len;
+  double* const b = tables + 2 * len;
+  double* const G = tables + 3 * len;
   pi0[0] = 1.0;
   for (int j = 1; j <= m; ++j) {
     const auto js = static_cast<std::size_t>(j);
@@ -93,7 +106,6 @@ double tmr_scp_expected_time(const TmrRenewalParams& params, int m) {
   // boundary is committed (its SCPs hold a 2-of-3 majority).
   //   G(r) = S(r) + pi1(r)*t_r
   //        + sum_{j=1..r} b_j * (t_r + G(r-j+1)).
-  std::vector<double> G(static_cast<std::size_t>(m) + 1, 0.0);
   for (int r = 1; r <= m; ++r) {
     const auto rs = static_cast<std::size_t>(r);
     const double S = static_cast<double>(r) * (t1 + ts) + tcp;

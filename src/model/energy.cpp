@@ -5,27 +5,22 @@
 
 namespace adacheck::model {
 
-void EnergyMeter::charge(const SpeedLevel& level, double cycles) {
-  if (cycles < 0.0) throw std::invalid_argument("EnergyMeter: negative cycles");
-  total_ += level.energy(cycles);
-  total_cycles_ += cycles;
-  for (std::size_t i = 0; i < slot_count_; ++i) {
-    if (slots_[i].frequency == level.frequency) {
-      slots_[i].cycles += cycles;
-      return;
-    }
-  }
+void EnergyMeter::throw_negative_cycles() {
+  throw std::invalid_argument("EnergyMeter: negative cycles");
+}
+
+void EnergyMeter::charge_new_level(double frequency, double cycles) {
   if (slot_count_ < kInlineLevels) {
-    slots_[slot_count_++] = {level.frequency, cycles};
+    slots_[slot_count_++] = {frequency, cycles};
     return;
   }
   for (auto& entry : spill_) {
-    if (entry.frequency == level.frequency) {
+    if (entry.frequency == frequency) {
       entry.cycles += cycles;
       return;
     }
   }
-  spill_.push_back({level.frequency, cycles});
+  spill_.push_back({frequency, cycles});
 }
 
 double EnergyMeter::cycles_at(double frequency) const noexcept {

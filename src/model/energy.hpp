@@ -26,7 +26,20 @@ class EnergyMeter {
  public:
   /// Charges `cycles` cycles executed at `level` (computation or
   /// checkpoint overhead alike — everything the CPU executes costs).
-  void charge(const SpeedLevel& level, double cycles);
+  /// Inline up to a hit on an existing slot, the case the engine takes
+  /// on every charge after a run's first at each speed.
+  void charge(const SpeedLevel& level, double cycles) {
+    if (cycles < 0.0) throw_negative_cycles();
+    total_ += level.energy(cycles);
+    total_cycles_ += cycles;
+    for (std::size_t i = 0; i < slot_count_; ++i) {
+      if (slots_[i].frequency == level.frequency) {
+        slots_[i].cycles += cycles;
+        return;
+      }
+    }
+    charge_new_level(level.frequency, cycles);
+  }
 
   double total() const noexcept { return total_; }
   double cycles_at(double frequency) const noexcept;
@@ -47,6 +60,11 @@ class EnergyMeter {
   };
   /// Covers every realistic DVS table (the paper uses two levels).
   static constexpr std::size_t kInlineLevels = 6;
+
+  [[noreturn]] static void throw_negative_cycles();
+  /// charge() for a frequency with no slot yet: a new inline slot, or
+  /// the spill vector.
+  void charge_new_level(double frequency, double cycles);
 
   double total_ = 0.0;
   double total_cycles_ = 0.0;

@@ -57,17 +57,6 @@ void PoissonFaultSource::advance() {
       rng_.below(static_cast<std::uint64_t>(processors_)));
 }
 
-double PoissonFaultSource::next_fault_after(double from_exposure,
-                                            int& processor) {
-  // The process is memoryless, so we only ever move forward; the engine
-  // queries with non-decreasing exposure except after rollbacks, where
-  // re-executed work is *new* exposure (faults can strike again), which
-  // the engine models by continuing to accumulate exposure time.
-  while (next_time_ < from_exposure) advance();
-  processor = next_proc_;
-  return next_time_;
-}
-
 namespace {
 
 /// Common-cause coin flip, else a uniform replica index — the shared
@@ -149,17 +138,6 @@ void RenewalFaultSource::advance() {
   next_proc_ = draw_processor();
 }
 
-double RenewalFaultSource::next_fault_after(double from_exposure,
-                                            int& processor) {
-  // Unlike the Poisson source this process is NOT memoryless, but the
-  // engine only ever queries forward on the exposure clock (rollback
-  // re-execution is new exposure), so walking the renewal sequence is
-  // exact.
-  while (next_time_ < from_exposure) advance();
-  processor = next_proc_;
-  return next_time_;
-}
-
 MmppFaultSource::MmppFaultSource(const FaultModel& model,
                                  const FaultEnvironment& env,
                                  util::Xoshiro256& rng)
@@ -209,13 +187,6 @@ void MmppFaultSource::advance() {
     const double dwell = in_burst_ ? mean_burst_dwell_ : mean_quiet_dwell_;
     state_end_ = cursor_ + rng_.exponential(1.0 / dwell);
   }
-}
-
-double MmppFaultSource::next_fault_after(double from_exposure,
-                                         int& processor) {
-  while (next_time_ < from_exposure) advance();
-  processor = next_proc_;
-  return next_time_;
 }
 
 ReplayFaultSource::ReplayFaultSource(const FaultTrace& trace) : trace_(trace) {}

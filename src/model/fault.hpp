@@ -95,10 +95,22 @@ class FaultSource {
 };
 
 /// Memoryless stochastic source at the pair rate 2*lambda.
+///
+/// The stochastic sources define next_fault_after in the header: the
+/// engine's run loop is instantiated per concrete (final) source, so
+/// the common "next arrival already lies ahead" query inlines there,
+/// and only advance() — the RNG draw — is an out-of-line call.
 class PoissonFaultSource final : public FaultSource {
  public:
   PoissonFaultSource(const FaultModel& model, util::Xoshiro256& rng);
-  double next_fault_after(double from_exposure, int& processor) override;
+  /// The process is memoryless, so it only ever moves forward; the
+  /// engine queries with non-decreasing exposure (re-executed work
+  /// after a rollback is *new* exposure, where faults strike again).
+  double next_fault_after(double from_exposure, int& processor) override {
+    while (next_time_ < from_exposure) advance();
+    processor = next_proc_;
+    return next_time_;
+  }
 
  private:
   double pair_rate_;
@@ -118,7 +130,13 @@ class RenewalFaultSource final : public FaultSource {
  public:
   RenewalFaultSource(const FaultModel& model, const FaultEnvironment& env,
                      util::Xoshiro256& rng);
-  double next_fault_after(double from_exposure, int& processor) override;
+  /// Not memoryless, but the engine only ever queries forward on the
+  /// exposure clock, so walking the renewal sequence is exact.
+  double next_fault_after(double from_exposure, int& processor) override {
+    while (next_time_ < from_exposure) advance();
+    processor = next_proc_;
+    return next_time_;
+  }
 
  private:
   ArrivalKind kind_;
@@ -142,7 +160,11 @@ class MmppFaultSource final : public FaultSource {
  public:
   MmppFaultSource(const FaultModel& model, const FaultEnvironment& env,
                   util::Xoshiro256& rng);
-  double next_fault_after(double from_exposure, int& processor) override;
+  double next_fault_after(double from_exposure, int& processor) override {
+    while (next_time_ < from_exposure) advance();
+    processor = next_proc_;
+    return next_time_;
+  }
 
  private:
   double quiet_rate_;

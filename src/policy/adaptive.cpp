@@ -1,6 +1,8 @@
 #include "policy/adaptive.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 #include "analytic/dvs_estimate.hpp"
@@ -60,8 +62,45 @@ double AdaptiveCheckpointPolicy::planning_lambda(
   return (k0 + detections) / (k0 / ctx.lambda + ctx.exposure);
 }
 
-sim::Decision AdaptiveCheckpointPolicy::decide(
-    const sim::ExecContext& ctx) const {
+namespace {
+bool same_bits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+}  // namespace
+
+bool AdaptiveCheckpointPolicy::SolveMemo::hit(
+    double interval_, double lambda_, const model::CheckpointCosts& costs_,
+    bool tmr_) const noexcept {
+  return valid && tmr == tmr_ && same_bits(interval, interval_) &&
+         same_bits(lambda, lambda_) &&
+         same_bits(time_costs.store, costs_.store) &&
+         same_bits(time_costs.compare, costs_.compare) &&
+         same_bits(time_costs.rollback, costs_.rollback);
+}
+
+int AdaptiveCheckpointPolicy::inner_count(
+    double itv, double lambda, const model::CheckpointCosts& time_costs,
+    bool tmr) {
+  if (memo_.hit(itv, lambda, time_costs, tmr)) return memo_.m;
+  // The renewal model matches the platform's redundancy: DMR uses the
+  // paper's R1/R2; any voting group (N >= 3) the vote-aware TMR
+  // variants — exact for 3 replicas, and the documented approximation
+  // for wider NMR groups (the engine votes there too, so the 2-of-3
+  // renewal model is far closer than the every-fault-rolls-back DMR
+  // equations).
+  int m = 1;
+  if (config_.inner == sim::InnerKind::kScp) {
+    m = tmr ? analytic::num_scp_tmr({itv, lambda, time_costs})
+            : analytic::num_scp({itv, lambda, time_costs});
+  } else {
+    m = tmr ? analytic::num_ccp_tmr({itv, lambda, time_costs})
+            : analytic::num_ccp({itv, lambda, time_costs});
+  }
+  memo_ = {true, tmr, itv, lambda, time_costs, m};
+  return m;
+}
+
+sim::Decision AdaptiveCheckpointPolicy::decide(const sim::ExecContext& ctx) {
   const double c_cycles = ctx.costs->cscp();
   const double lambda = planning_lambda(ctx);
   const auto& level =
@@ -92,47 +131,17 @@ sim::Decision AdaptiveCheckpointPolicy::decide(
   d.cscp_interval = itv;
   d.inner = config_.inner;
 
-  // Sub-interval count from the renewal model matching the platform's
-  // redundancy: DMR uses the paper's R1/R2; any voting group (N >= 3)
-  // the vote-aware TMR variants — exact for 3 replicas, and the
-  // documented approximation for wider NMR groups (the engine votes
-  // there too, so the 2-of-3 renewal model is far closer than the
-  // every-fault-rolls-back DMR equations).
+  if (config_.inner == sim::InnerKind::kNone) {
+    d.sub_interval = itv;
+    return d;
+  }
   const model::CheckpointCosts time_costs{ctx.costs->store / f,
                                           ctx.costs->compare / f,
                                           ctx.costs->rollback / f};
-  const bool tmr = ctx.redundancy >= 3;
-  switch (config_.inner) {
-    case sim::InnerKind::kNone:
-      d.sub_interval = itv;
-      break;
-    case sim::InnerKind::kScp: {
-      int m = 1;
-      if (tmr) {
-        analytic::TmrRenewalParams params{itv, lambda, time_costs};
-        m = analytic::num_scp_tmr(params);
-      } else {
-        analytic::ScpRenewalParams params{itv, lambda, time_costs};
-        m = analytic::num_scp(params);
-      }
-      m = std::min(m, config_.max_inner);
-      d.sub_interval = itv / static_cast<double>(m);
-      break;
-    }
-    case sim::InnerKind::kCcp: {
-      int m = 1;
-      if (tmr) {
-        analytic::TmrRenewalParams params{itv, lambda, time_costs};
-        m = analytic::num_ccp_tmr(params);
-      } else {
-        analytic::CcpRenewalParams params{itv, lambda, time_costs};
-        m = analytic::num_ccp(params);
-      }
-      m = std::min(m, config_.max_inner);
-      d.sub_interval = itv / static_cast<double>(m);
-      break;
-    }
-  }
+  const int m = std::min(
+      inner_count(itv, lambda, time_costs, ctx.redundancy >= 3),
+      config_.max_inner);
+  d.sub_interval = itv / static_cast<double>(m);
   return d;
 }
 

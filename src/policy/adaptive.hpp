@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <string>
 
+#include "model/checkpoint.hpp"
 #include "sim/policy.hpp"
 
 namespace adacheck::policy {
@@ -60,6 +61,7 @@ class AdaptiveCheckpointPolicy final : public sim::ICheckpointPolicy {
 
   std::string name() const override { return name_; }
   /// All per-run state lives in the ExecContext; instances are reusable.
+  /// The inner-solve memo caches a pure function, so it stays warm.
   bool reset() override { return true; }
   sim::Decision initial(const sim::ExecContext& ctx) override;
   sim::Decision on_fault(const sim::ExecContext& ctx) override;
@@ -82,10 +84,30 @@ class AdaptiveCheckpointPolicy final : public sim::ICheckpointPolicy {
   double planning_lambda(const sim::ExecContext& ctx) const;
 
  private:
-  sim::Decision decide(const sim::ExecContext& ctx) const;
+  /// The last num_SCP/num_CCP solve: every input, compared bit for
+  /// bit, and its m.  Most re-plans repeat the previous solve (the
+  /// interval rule is constant within a cell until the budget runs
+  /// low), so one entry catches them.
+  struct SolveMemo {
+    bool valid = false;
+    bool tmr = false;
+    double interval = 0.0;
+    double lambda = 0.0;
+    model::CheckpointCosts time_costs;
+    int m = 1;
+
+    bool hit(double interval_, double lambda_,
+             const model::CheckpointCosts& costs_, bool tmr_) const noexcept;
+  };
+
+  sim::Decision decide(const sim::ExecContext& ctx);
+  /// Inner count m for interval `itv`, from the memo or a fresh solve.
+  int inner_count(double itv, double lambda,
+                  const model::CheckpointCosts& time_costs, bool tmr);
 
   AdaptiveConfig config_;
   std::string name_;
+  SolveMemo memo_;
 };
 
 }  // namespace adacheck::policy

@@ -15,11 +15,15 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 int popcount(unsigned mask) noexcept { return std::popcount(mask); }
 
-/// Mutable run state shared by the helpers below.
+/// Mutable run state shared by the helpers below.  The run loop is a
+/// template over the fault source: simulate_seeded instantiates it per
+/// concrete (final) stochastic source, so each fault query is a direct,
+/// inlinable call; simulate() keeps the virtual FaultSource path.
+template <class Source>
 struct EngineState {
   const SimSetup* setup = nullptr;
   const EngineConfig* config = nullptr;
-  model::FaultSource* faults = nullptr;
+  Source* faults = nullptr;
   RunResult* result = nullptr;
 
   double committed = 0.0;   ///< cycles banked at consistent checkpoints
@@ -128,6 +132,52 @@ struct AttemptCorruption {
   bool corrupted() const noexcept { return mask != 0; }
 };
 
+void validate_decision(const Decision& d) {
+  if (!(d.speed.frequency > 0.0) || !(d.speed.voltage > 0.0)) {
+    throw std::invalid_argument("engine: decision with non-positive speed");
+  }
+  if (d.abort) return;  // intervals unused
+  if (!(d.cscp_interval > 0.0)) {
+    throw std::invalid_argument("engine: decision with non-positive Itv");
+  }
+  if (d.inner != InnerKind::kNone && !(d.sub_interval > 0.0)) {
+    throw std::invalid_argument("engine: decision with non-positive itv");
+  }
+}
+
+/// How an attempt over `outer` time splits into sub-intervals.  The
+/// planned sub length is preserved (the paper inserts checkpoints by
+/// length), so the last sub-interval may be shorter.
+struct Split {
+  double sub = 0.0;
+  int count = 1;
+};
+
+Split split_interval(const Decision& d, double outer) {
+  const double sub = d.inner == InnerKind::kNone
+                         ? outer
+                         : std::min(d.sub_interval, outer);
+  if (!(outer > 0.0) || !(sub > 0.0)) {
+    throw std::invalid_argument("engine: non-positive checkpoint interval");
+  }
+  if (d.inner == InnerKind::kNone) return {sub, 1};
+  const double n_real = outer / sub;
+  return {sub, std::max(1, static_cast<int>(std::ceil(n_real - 1e-9)))};
+}
+
+/// A validated decision plus the split of an attempt over its full
+/// Itv, worked out once when the decision arrives: every attempt but
+/// one clamped to the remaining work reuses it.
+struct Plan {
+  Decision decision;
+  Split full;
+
+  explicit Plan(const Decision& d) : decision(d) {
+    validate_decision(d);
+    if (!d.abort) full = split_interval(d, d.cscp_interval);
+  }
+};
+
 /// Result of executing one CSCP-interval attempt.
 enum class AttemptOutcome {
   kCommitted,       ///< interval committed cleanly
@@ -146,7 +196,9 @@ enum class AttemptOutcome {
 /// comparison forces a rollback, to the last SCP that still has a
 /// healthy majority (SCP mode) or to the interval start (CCP/None
 /// mode).
-AttemptOutcome execute_interval(EngineState& st, const Decision& decision) {
+template <class Source>
+AttemptOutcome execute_interval(EngineState<Source>& st, const Plan& plan) {
+  const Decision& decision = plan.decision;
   const auto& level = decision.speed;
   const auto& costs = st.setup->costs;
   const double f = level.frequency;
@@ -156,17 +208,12 @@ AttemptOutcome execute_interval(EngineState& st, const Decision& decision) {
   // Clamp the plan to the remaining work.  Interval lengths are wall
   // clock at the current speed; work is cycles.
   const double remaining_time = st.remaining_cycles() / f;
-  const double itv_outer = std::min(decision.cscp_interval, remaining_time);
-  double itv_sub = decision.inner == InnerKind::kNone
-                       ? itv_outer
-                       : std::min(decision.sub_interval, itv_outer);
-  if (!(itv_outer > 0.0) || !(itv_sub > 0.0)) {
-    throw std::invalid_argument("engine: non-positive checkpoint interval");
-  }
-  // Number of sub-intervals, preserving the planned sub length (the
-  // paper inserts checkpoints by length); the last one may be shorter.
-  const double n_real = itv_outer / itv_sub;
-  const int n_subs = std::max(1, static_cast<int>(std::ceil(n_real - 1e-9)));
+  const bool clamped = remaining_time < decision.cscp_interval;
+  const double itv_outer = clamped ? remaining_time : decision.cscp_interval;
+  const Split split =
+      clamped ? split_interval(decision, itv_outer) : plan.full;
+  const double itv_sub = split.sub;
+  const int n_subs = split.count;
 
   // Corruption carried over from a trailing overhead fault of the
   // previous interval poisons the attempt from its start.
@@ -308,38 +355,13 @@ AttemptOutcome execute_interval(EngineState& st, const Decision& decision) {
                              : AttemptOutcome::kCommitted;
 }
 
-void validate_decision(const Decision& d) {
-  if (!(d.speed.frequency > 0.0) || !(d.speed.voltage > 0.0)) {
-    throw std::invalid_argument("engine: decision with non-positive speed");
-  }
-  if (d.abort) return;  // intervals unused
-  if (!(d.cscp_interval > 0.0)) {
-    throw std::invalid_argument("engine: decision with non-positive Itv");
-  }
-  if (d.inner != InnerKind::kNone && !(d.sub_interval > 0.0)) {
-    throw std::invalid_argument("engine: decision with non-positive itv");
-  }
-}
-
-}  // namespace
-
-void SimSetup::validate() const {
-  task.validate();
-  costs.validate();
-  if (!fault_model.valid()) {
-    throw std::invalid_argument(
-        "SimSetup: fault model needs rate >= 0 and 2..32 processors");
-  }
-  environment.validate();
-}
-
-RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
-                   model::FaultSource& fault_source,
-                   const EngineConfig& config) {
+template <class Source>
+RunResult run(const SimSetup& setup, ICheckpointPolicy& policy,
+              Source& fault_source, const EngineConfig& config) {
   setup.validate();
   RunResult result;
 
-  EngineState st;
+  EngineState<Source> st;
   st.setup = &setup;
   st.config = &config;
   st.faults = &fault_source;
@@ -365,12 +387,12 @@ RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
   };
 
   refresh_ctx();
-  Decision decision = policy.initial(ctx);
+  Plan plan(policy.initial(ctx));
+  const Decision& decision = plan.decision;
 
   const double work_eps = setup.task.cycles * 1e-12;
 
   for (;;) {
-    validate_decision(decision);
     if (st.remaining_cycles() <= work_eps) {
       result.outcome = st.now <= setup.task.deadline
                            ? RunOutcome::kCompleted
@@ -402,7 +424,7 @@ RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
       st.last_frequency = decision.speed.frequency;
     }
 
-    const AttemptOutcome outcome = execute_interval(st, decision);
+    const AttemptOutcome outcome = execute_interval(st, plan);
     refresh_ctx();
     if (st.remaining_cycles() <= work_eps) {
       continue;  // done — the loop top records the outcome
@@ -412,9 +434,9 @@ RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
       // Both consume fault budget; the policy re-plans (Fig. 3/6/7
       // "else" branch).  For a voted commit nothing was lost, but the
       // remaining budget changed, so the plan may too.
-      decision = policy.on_fault(ctx);
+      plan = Plan(policy.on_fault(ctx));
     } else if (auto replacement = policy.on_commit(ctx)) {
-      decision = *replacement;
+      plan = Plan(*replacement);
     }
   }
 
@@ -422,6 +444,24 @@ RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
   result.cycles_executed = result.meter.total_cycles();
   result.cycles_committed = st.committed;
   return result;
+}
+
+}  // namespace
+
+void SimSetup::validate() const {
+  task.validate();
+  costs.validate();
+  if (!fault_model.valid()) {
+    throw std::invalid_argument(
+        "SimSetup: fault model needs rate >= 0 and 2..32 processors");
+  }
+  environment.validate();
+}
+
+RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
+                   model::FaultSource& fault_source,
+                   const EngineConfig& config) {
+  return run(setup, policy, fault_source, config);
 }
 
 RunResult simulate_seeded(const SimSetup& setup, ICheckpointPolicy& policy,
@@ -432,14 +472,14 @@ RunResult simulate_seeded(const SimSetup& setup, ICheckpointPolicy& policy,
   const auto& env = setup.environment;
   if (env.plain_exponential()) {
     model::PoissonFaultSource source(setup.fault_model, rng);
-    return simulate(setup, policy, source, config);
+    return run(setup, policy, source, config);
   }
   if (env.burst.enabled) {
     model::MmppFaultSource source(setup.fault_model, env, rng);
-    return simulate(setup, policy, source, config);
+    return run(setup, policy, source, config);
   }
   model::RenewalFaultSource source(setup.fault_model, env, rng);
-  return simulate(setup, policy, source, config);
+  return run(setup, policy, source, config);
 }
 
 }  // namespace adacheck::sim

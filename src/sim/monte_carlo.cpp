@@ -345,18 +345,6 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
   return results;
 }
 
-std::vector<CellStats> run_cells(const std::vector<CellJob>& jobs,
-                                 int threads, int* threads_used) {
-  RunCellsOptions options;
-  options.threads = threads;
-  options.threads_used = threads_used;
-  auto results = run_cells_ex(jobs, options);
-  std::vector<CellStats> stats;
-  stats.reserve(results.size());
-  for (auto& result : results) stats.push_back(std::move(result.stats));
-  return stats;
-}
-
 CellResult run_cell_ex(const SimSetup& setup, const PolicyFactory& factory,
                        const MonteCarloConfig& config,
                        ISweepObserver* observer, CancellationToken* cancel) {

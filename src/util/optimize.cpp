@@ -70,35 +70,4 @@ IntegerMinimum integer_argmin(const std::function<double(std::int64_t)>& f,
   return best;
 }
 
-double bisect_root(const std::function<double(double)>& f, double lo,
-                   double hi, double tol) {
-  if (!std::isfinite(lo) || !std::isfinite(hi)) {
-    throw std::invalid_argument("bisect_root: non-finite bracket");
-  }
-  if (!(tol > 0.0) || !std::isfinite(tol)) {
-    throw std::invalid_argument("bisect_root: tol must be finite and > 0");
-  }
-  double flo = f(lo), fhi = f(hi);
-  if (flo == 0.0) return lo;
-  if (fhi == 0.0) return hi;
-  if (std::signbit(flo) == std::signbit(fhi)) {
-    throw std::invalid_argument("bisect_root: no sign change on bracket");
-  }
-  while (hi - lo > tol) {
-    const double mid = 0.5 * (lo + hi);
-    // Adjacent doubles: the midpoint rounds back onto an endpoint and
-    // the bracket can never reach a tol below its ULP spacing.
-    if (mid == lo || mid == hi) return mid;
-    const double fmid = f(mid);
-    if (fmid == 0.0) return mid;
-    if (std::signbit(fmid) == std::signbit(flo)) {
-      lo = mid;
-      flo = fmid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 }  // namespace adacheck::util

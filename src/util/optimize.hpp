@@ -1,4 +1,4 @@
-// Scalar minimization and root finding used by the analytic layer.
+// Scalar minimization used by the analytic layer.
 //
 // The paper's Fig. 2 procedure first minimizes the renewal cost over a
 // continuous sub-interval length T1 (we use golden-section search on a
@@ -89,12 +89,5 @@ std::optional<IntegerMinimum> integer_first_local_min(F&& f, std::int64_t lo,
   }
   return best;
 }
-
-/// Bisection root finder for continuous f with f(lo), f(hi) of opposite
-/// sign.  Returns the root to within tol.  Throws std::invalid_argument
-/// if the bracket does not straddle a sign change, is non-finite, or
-/// the tolerance is not finite and positive.
-double bisect_root(const std::function<double(double)>& f, double lo,
-                   double hi, double tol = 1e-10);
 
 }  // namespace adacheck::util

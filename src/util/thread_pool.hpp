@@ -52,7 +52,7 @@ class ThreadPool {
   /// Hardware concurrency clamped to >= 1.
   static int default_concurrency() noexcept;
 
-  /// Process-wide pool shared by run_cell / run_cells / run_sweep.
+  /// Process-wide pool shared by run_cell / run_cells_ex / run_sweep.
   /// Its first use fixes the worker count: a set_shared_size() request
   /// if one was made, else the ADACHECK_THREADS environment variable,
   /// else default_concurrency().  Statistics never depend on the

@@ -1,13 +1,18 @@
 // The adaptive policies call num_SCP / num_CCP at every checkpoint
-// decision, so the solve must stay off the heap.  This binary replaces
-// the global operator new with a counting one and asserts that no
-// allocation happens inside the analytic calls.
+// decision, so the solve must stay off the heap, and so must a whole
+// Monte-Carlo run around it.  This binary replaces the global operator
+// new with a counting one and asserts that no allocation happens
+// inside the analytic calls or inside simulate_seeded.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "analytic/num_checkpoints.hpp"
+#include "policy/factory.hpp"
+#include "sim/engine.hpp"
 
 namespace {
 long g_allocations = 0;
@@ -60,6 +65,40 @@ TEST(AnalyticAllocations, RenewalSolveIsAllocationFree) {
   });
   EXPECT_EQ(allocations, 0);
   EXPECT_GT(sink, 0.0);
+}
+
+TEST(AnalyticAllocations, WholeEngineRunIsAllocationFree) {
+  // As in a Monte-Carlo chunk: one policy instance, re-armed through
+  // reset() before every run, so its decisions and its inner-solve
+  // memo are inside the measured region.
+  for (int processors : {2, 3}) {
+    for (const char* scheme : {"Poisson", "k-f-t", "A_D", "A_D_S", "A_D_C"}) {
+      const bool ccp = std::string(scheme) == "A_D_C";
+      const sim::SimSetup setup{
+          model::task_from_utilization(0.78, 1.0, 10'000.0, 5),
+          ccp ? model::CheckpointCosts::paper_ccp_flavor()
+              : model::CheckpointCosts::paper_scp_flavor(),
+          model::DvsProcessor::two_speed(2.0),
+          model::FaultModel{1.6e-3, false, processors}};
+      auto policy = policy::make_policy(scheme);
+      bool every_reset = true;
+      int faults = 0;
+      double sink = 0.0;
+      const long allocations = allocations_in([&] {
+        for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+          every_reset = policy->reset() && every_reset;
+          const auto result = sim::simulate_seeded(setup, *policy, seed);
+          faults += result.faults;
+          sink += result.energy;
+        }
+      });
+      SCOPED_TRACE(std::string(scheme) + " N=" + std::to_string(processors));
+      EXPECT_TRUE(every_reset);
+      EXPECT_EQ(allocations, 0);
+      EXPECT_GT(faults, 200);  // the runs re-plan after faults
+      EXPECT_GT(sink, 0.0);
+    }
+  }
 }
 
 }  // namespace

@@ -27,6 +27,18 @@ namespace {
 
 using testutil::basic_setup;
 
+/// run_cells_ex reduced to the default statistics of each cell.
+std::vector<CellStats> run_cells(const std::vector<CellJob>& jobs,
+                                 int threads) {
+  RunCellsOptions options;
+  options.threads = threads;
+  std::vector<CellStats> stats;
+  for (auto& result : run_cells_ex(jobs, options)) {
+    stats.push_back(std::move(result.stats));
+  }
+  return stats;
+}
+
 void expect_same_stats(const CellStats& a, const CellStats& b) {
   EXPECT_EQ(a.completion.trials(), b.completion.trials());
   EXPECT_EQ(a.completion.successes(), b.completion.successes());

@@ -135,6 +135,94 @@ TEST(SeedParity, TmrStatisticsAlsoBitForBit) {
   EXPECT_EQ(stats.rollbacks.mean(), 0x1.67ae147ae147bp-1);
 }
 
+/// The seed-parity cell of every scheme in the paper tables, and of
+/// the rate-tracking A_D-est, under one environment per fault source
+/// the engine instantiates (Poisson, renewal, Markov-modulated).
+struct ParityCell {
+  const char* scheme;
+  const char* environment;
+  int processors;
+  std::uint64_t successes;
+  double energy;
+  double finish_time;
+  double faults;
+  double rollbacks;
+};
+
+sim::SimSetup parity_setup(const ParityCell& cell) {
+  // A_D_C takes the CCP-flavor costs, under which it does insert CCPs.
+  const bool ccp = std::string(cell.scheme) == "A_D_C";
+  return sim::SimSetup{model::task_from_utilization(0.78, 1.0, 10'000.0, 5),
+                       ccp ? model::CheckpointCosts::paper_ccp_flavor()
+                           : model::CheckpointCosts::paper_scp_flavor(),
+                       model::DvsProcessor::two_speed(2.0),
+                       model::FaultModel{1.4e-3, false, cell.processors},
+                       find_environment(cell.environment)};
+}
+
+// Captured from the engine as it was before its run loop became a
+// template over the fault source (300 runs, seed 2024, 2 chunks).
+TEST(SeedParity, EverySchemeAndFaultSourceBitForBit) {
+  const ParityCell cells[] = {
+      {"Poisson", "poisson", 2, 23u, 0x1.30530ab51d9c5p+15,
+       0x1.30530ab51d9c5p+13, 0x1.8fe4b17e4b17dp+3, 0x1.612c5f92c5f92p+3},
+      {"k-f-t", "poisson", 2, 21u, 0x1.30c566038d596p+15,
+       0x1.30c566038d596p+13, 0x1.92aaaaaaaaaa9p+3, 0x1.63851eb851eb7p+3},
+      {"A_D", "poisson", 2, 299u, 0x1.e2886ea904778p+15,
+       0x1.029d431fced06p+13, 0x1.4681b4e81b4eap+3, 0x1.27258bf258bf1p+3},
+      {"A_D-est", "poisson", 2, 300u, 0x1.e285bda989d56p+15,
+       0x1.0081a1e875903p+13, 0x1.43d70a3d70a3fp+3, 0x1.2206d3a06d39dp+3},
+      {"A_D_S", "poisson", 2, 300u, 0x1.ba8998352c8a6p+15,
+       0x1.fb821946b6565p+12, 0x1.37258bf258bf1p+3, 0x1.18bf258bf258dp+3},
+      {"A_D_C", "poisson", 2, 300u, 0x1.bb044354ad999p+15,
+       0x1.f69903ccd54dbp+12, 0x1.37258bf258bf1p+3, 0x1.2afc962fc9631p+3},
+      {"A_D_S", "poisson", 3, 300u, 0x1.77155c3de924ep+15,
+       0x1.c1fb0c49a144fp+12, 0x1.1999999999999p+3, 0x1.17e4b17e4b18p-1},
+      {"Poisson", "weibull-infant", 2, 54u, 0x1.2d19a95e6f96p+15,
+       0x1.2d19a95e6f96p+13, 0x1.9e9d0369d036fp+3, 0x1.423d70a3d70a9p+3},
+      {"k-f-t", "weibull-infant", 2, 50u, 0x1.2d29a055f7dd6p+15,
+       0x1.2d29a055f7dd6p+13, 0x1.a051eb851eb85p+3, 0x1.40bf258bf258cp+3},
+      {"A_D", "weibull-infant", 2, 300u, 0x1.f1a48918bdf94p+15,
+       0x1.e30b74fd32e68p+12, 0x1.4b851eb851eb9p+3, 0x1.0777777777778p+3},
+      {"A_D-est", "weibull-infant", 2, 300u, 0x1.f7533ca59e73p+15,
+       0x1.d701ab2dd875ep+12, 0x1.406d3a06d3a07p+3, 0x1.00bf258bf258bp+3},
+      {"A_D_S", "weibull-infant", 2, 300u, 0x1.cf6e4190206eap+15,
+       0x1.dc253a39f928fp+12, 0x1.37e4b17e4b17ep+3, 0x1.f1b4e81b4e81cp+2},
+      {"A_D_C", "weibull-infant", 2, 300u, 0x1.ce9aa6a37116cp+15,
+       0x1.da7c295fe569ap+12, 0x1.3c5f92c5f92c8p+3, 0x1.1ce81b4e81b5p+3},
+      {"A_D_S", "weibull-infant", 3, 300u, 0x1.8fc4cb85b2acdp+15,
+       0x1.b155241eeb3d3p+12, 0x1.21d0369d0369fp+3, 0x1.05f92c5f92c63p+0},
+      {"Poisson", "bursty-orbit", 2, 2u, 0x1.3666bf2e46195p+15,
+       0x1.3666bf2e46195p+13, 0x1.8a147ae147aep+4, 0x1.04369d0369d03p+4},
+      {"k-f-t", "bursty-orbit", 2, 4u, 0x1.31b2435e02728p+15,
+       0x1.31b2435e02728p+13, 0x1.a599999999999p+4, 0x1.ee9d0369d0367p+3},
+      {"A_D", "bursty-orbit", 2, 299u, 0x1.13da09a2ec1ebp+16,
+       0x1.f78b7478a8fb2p+12, 0x1.487ae147ae145p+4, 0x1.bc7ae147ae14bp+3},
+      {"A_D-est", "bursty-orbit", 2, 300u, 0x1.137fae6495ee1p+16,
+       0x1.ff603abb5e773p+12, 0x1.4cb17e4b17e4cp+4, 0x1.bcb17e4b17e4ap+3},
+      {"A_D_S", "bursty-orbit", 2, 300u, 0x1.01bd078875584p+16,
+       0x1.f084f213fa998p+12, 0x1.2f33333333332p+4, 0x1.9f5c28f5c28fap+3},
+      {"A_D_C", "bursty-orbit", 2, 300u, 0x1.0191c5a7afdb6p+16,
+       0x1.e891558ea159p+12, 0x1.318bf258bf255p+4, 0x1.04f5c28f5c29p+4},
+      {"A_D_S", "bursty-orbit", 3, 300u, 0x1.b46ccd6ed9df6p+15,
+       0x1.be975f00fd81p+12, 0x1.180da740da743p+4, 0x1.4eeeeeeeeeeedp+1},
+  };
+  for (const auto& cell : cells) {
+    sim::MonteCarloConfig config;
+    config.runs = 300;
+    config.seed = 2024;
+    const auto stats = sim::run_cell(
+        parity_setup(cell), policy::make_policy_factory(cell.scheme), config);
+    SCOPED_TRACE(std::string(cell.scheme) + "@" + cell.environment + " N=" +
+                 std::to_string(cell.processors));
+    EXPECT_EQ(stats.completion.successes(), cell.successes);
+    EXPECT_EQ(stats.energy_success.mean(), cell.energy);
+    EXPECT_EQ(stats.finish_time_success.mean(), cell.finish_time);
+    EXPECT_EQ(stats.faults.mean(), cell.faults);
+    EXPECT_EQ(stats.rollbacks.mean(), cell.rollbacks);
+  }
+}
+
 /// Counts arrivals of `source` on [0, horizon).
 std::size_t count_arrivals(FaultSource& source, double horizon) {
   std::size_t count = 0;

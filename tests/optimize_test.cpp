@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <stdexcept>
 
 namespace adacheck::util {
 namespace {
@@ -202,6 +204,41 @@ TEST(IntegerFirstLocalMin, NonFiniteValueGivesUp) {
   EXPECT_FALSE(integer_first_local_min(
       [&](std::int64_t m) { return m >= 9 ? nan : -static_cast<double>(m); },
       1, 100));
+}
+
+/// Bisection root finder for continuous f with f(lo), f(hi) of opposite
+/// sign: the root to within tol.  Throws std::invalid_argument if the
+/// bracket does not straddle a sign change, is non-finite, or the
+/// tolerance is not finite and positive.  Only these tests use it.
+double bisect_root(const std::function<double(double)>& f, double lo,
+                   double hi, double tol = 1e-10) {
+  if (!std::isfinite(lo) || !std::isfinite(hi)) {
+    throw std::invalid_argument("bisect_root: non-finite bracket");
+  }
+  if (!(tol > 0.0) || !std::isfinite(tol)) {
+    throw std::invalid_argument("bisect_root: tol must be finite and > 0");
+  }
+  double flo = f(lo), fhi = f(hi);
+  if (flo == 0.0) return lo;
+  if (fhi == 0.0) return hi;
+  if (std::signbit(flo) == std::signbit(fhi)) {
+    throw std::invalid_argument("bisect_root: no sign change on bracket");
+  }
+  while (hi - lo > tol) {
+    const double mid = 0.5 * (lo + hi);
+    // Adjacent doubles: the midpoint rounds back onto an endpoint and
+    // the bracket can never reach a tol below its ULP spacing.
+    if (mid == lo || mid == hi) return mid;
+    const double fmid = f(mid);
+    if (fmid == 0.0) return mid;
+    if (std::signbit(fmid) == std::signbit(flo)) {
+      lo = mid;
+      flo = fmid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
 }
 
 TEST(BisectRoot, FindsSqrtTwo) {

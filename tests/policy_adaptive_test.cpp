@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "analytic/dvs_estimate.hpp"
 #include "analytic/interval_policy.hpp"
 #include "analytic/num_checkpoints.hpp"
+#include "policy/factory.hpp"
 #include "sim/engine.hpp"
 #include "tests/test_helpers.hpp"
 
@@ -279,6 +283,66 @@ TEST(AdaptivePolicy, EstimatorWithZeroNominalRateUsesPureObservation) {
   auto ctx = make_context(setup, 5'000.0, 2'000.0, 5);
   ctx.faults_detected = 4;
   EXPECT_DOUBLE_EQ(policy.planning_lambda(ctx), 4.0 / 2'000.0);
+}
+
+bool same_decision(const sim::Decision& a, const sim::Decision& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  return bits(a.speed.frequency) == bits(b.speed.frequency) &&
+         bits(a.speed.voltage) == bits(b.speed.voltage) &&
+         bits(a.cscp_interval) == bits(b.cscp_interval) &&
+         bits(a.sub_interval) == bits(b.sub_interval) &&
+         a.inner == b.inner && a.abort == b.abort;
+}
+
+TEST(AdaptivePolicy, SolveMemoNeverChangesADecision) {
+  // One warm instance per scheme, re-armed through reset() between
+  // runs so its inner-solve memo carries over, must decide exactly as
+  // a fresh instance does on every context.  Each context comes three
+  // times in a row: as is, with only the nominal rate changed, and
+  // with only the redundancy switched between DMR and TMR, so a memo
+  // key missing the rate or the TMR flag returns a stale m.
+  //
+  // Remaining cycles per unit of remaining deadline: from slack at
+  // the slow speed to deadline pressure at the fast one, where Itv no
+  // longer depends on the rate and only the rate key separates solves.
+  constexpr double kLoad[] = {0.5, 0.8, 1.3, 1.7, 1.95};
+  int split = 0;  // decisions with inner checkpoints (m > 1)
+  for (const auto costs : {model::CheckpointCosts::paper_scp_flavor(),
+                           model::CheckpointCosts::paper_ccp_flavor()}) {
+    auto setup = testutil::dvs_setup(7'600.0, 10'000.0, 5, 1.4e-3);
+    setup.costs = costs;
+    for (const char* scheme :
+         {"A_D_S", "A_D_C", "A_D_S-est", "A_D_C-est", "adapchp-SCP"}) {
+      auto warm = make_policy(scheme);
+      for (int run = 0; run < 12; ++run) {
+        ASSERT_TRUE(warm->reset());
+        const double lambda = run % 3 == 0 ? 1.4e-3 : run % 3 == 1 ? 5e-3
+                                                                   : 2e-2;
+        for (int step = 0; step < 10; ++step) {
+          const double now = 410.0 * step;
+          auto ctx = make_context(setup, kLoad[step % 5] * (10'000.0 - now),
+                                  now, 5 - step / 2);
+          ctx.lambda = lambda;
+          ctx.faults_detected = step;
+          ctx.redundancy = run % 2 == 0 ? 2 : 3;
+          for (int variant = 0; variant < 3; ++variant) {
+            if (variant == 1) ctx.lambda = lambda * 1.5;
+            if (variant == 2) ctx.redundancy = 5 - ctx.redundancy;
+            const auto fresh = make_policy(scheme);
+            const bool first = step == 0 && variant == 0;
+            const auto expected =
+                first ? fresh->initial(ctx) : fresh->on_fault(ctx);
+            const auto got = first ? warm->initial(ctx) : warm->on_fault(ctx);
+            ASSERT_TRUE(same_decision(got, expected))
+                << scheme << " run " << run << " step " << step
+                << " variant " << variant;
+            if (!got.abort && got.sub_interval < got.cscp_interval) ++split;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(split, 100);  // the solves matter: many decisions split
 }
 
 }  // namespace

@@ -86,6 +86,23 @@ TEST(ScpRenewal, ContinuousEvaluatorRoundsToInteger) {
               scp_expected_time(p, 1), 1e-9);
 }
 
+/// First-order closed form of R1(m) for a small fault probability per
+/// interval: R1(m) ~ S(m) + (1 - q^m)*(t_r + expected re-execution).
+double scp_expected_time_first_order(const ScpRenewalParams& params, int m) {
+  const double T = params.interval;
+  const double md = static_cast<double>(m);
+  const double t1 = T / md;
+  const double q = std::exp(-params.lambda * t1);
+  const double S = T + md * params.costs.store + params.costs.compare;
+  // One fault in sub-interval j costs a rollback plus re-execution of
+  // the (m - j + 1) trailing sub-intervals and the CSCP; averaging j
+  // uniformly (first-order in mu*T) gives (m+1)/2 sub-intervals redone.
+  const double p_fault = 1.0 - std::pow(q, md);
+  const double redo = 0.5 * (md + 1.0) * (t1 + params.costs.store) +
+                      params.costs.compare + params.costs.rollback;
+  return S + p_fault * redo;
+}
+
 TEST(ScpRenewal, FirstOrderApproxAgreesAtLowRisk) {
   // For lambda*T << 1 the first-order model should be within ~1%.
   const auto p = paper_params(50.0, 1e-4);

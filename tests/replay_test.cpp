@@ -3,6 +3,10 @@
 // the mechanism the satellite example uses for post-mortem debugging.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "model/fault_env.hpp"
 #include "policy/factory.hpp"
 #include "sim/engine.hpp"
 #include "tests/test_helpers.hpp"
@@ -24,18 +28,23 @@ model::FaultTrace extract_faults(const RunResult& result) {
   return trace;
 }
 
+/// Replay is exact: every field, bit for bit.
 void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.outcome, b.outcome);
-  EXPECT_DOUBLE_EQ(a.finish_time, b.finish_time);
-  EXPECT_DOUBLE_EQ(a.energy, b.energy);
-  EXPECT_DOUBLE_EQ(a.cycles_executed, b.cycles_executed);
-  EXPECT_DOUBLE_EQ(a.cycles_committed, b.cycles_committed);
+  EXPECT_EQ(a.finish_time, b.finish_time);
+  EXPECT_EQ(a.energy, b.energy);
+  EXPECT_EQ(a.cycles_executed, b.cycles_executed);
+  EXPECT_EQ(a.cycles_committed, b.cycles_committed);
   EXPECT_EQ(a.faults, b.faults);
   EXPECT_EQ(a.detections, b.detections);
+  EXPECT_EQ(a.corrections, b.corrections);
   EXPECT_EQ(a.rollbacks, b.rollbacks);
   EXPECT_EQ(a.checkpoints_scp, b.checkpoints_scp);
   EXPECT_EQ(a.checkpoints_ccp, b.checkpoints_ccp);
   EXPECT_EQ(a.checkpoints_cscp, b.checkpoints_cscp);
+  EXPECT_EQ(a.speed_switches, b.speed_switches);
+  EXPECT_EQ(a.meter.breakdown(), b.meter.breakdown());
+  EXPECT_EQ(a.trace.size(), b.trace.size());
 }
 
 TEST(Replay, RoundTripScriptedPolicy) {
@@ -54,28 +63,39 @@ TEST(Replay, RoundTripScriptedPolicy) {
     const auto replayed = simulate(setup, replayed_policy, source, config);
 
     expect_identical(recorded, replayed);
-    EXPECT_EQ(replayed.trace.size(), recorded.trace.size());
   }
 }
 
 TEST(Replay, RoundTripAdaptivePolicies) {
   // The adaptive policies make state-dependent decisions; replay still
   // reproduces them because decisions are pure functions of ExecContext.
-  for (const char* name : {"A_D", "A_D_S", "A_D_C"}) {
-    auto setup = basic_setup(7'600.0, 10'000.0, 5, 1.4e-3);
-    setup.processor = model::DvsProcessor::two_speed(2.0);
-    EngineConfig config;
-    config.record_trace = true;
+  // simulate_seeded runs a loop specialized to each concrete stochastic
+  // source, while replay takes simulate()'s virtual FaultSource path:
+  // one environment per source the seeded path instantiates.
+  for (const char* environment : {"poisson", "weibull-infant",
+                                  "bursty-orbit"}) {
+    for (const char* name : {"Poisson", "A_D", "A_D_S", "A_D_C"}) {
+      auto setup = basic_setup(7'600.0, 10'000.0, 5, 1.4e-3);
+      setup.processor = model::DvsProcessor::two_speed(2.0);
+      setup.environment = model::find_environment(environment);
+      EngineConfig config;
+      config.record_trace = true;
 
-    auto original = policy::make_policy(name);
-    const auto recorded = simulate_seeded(setup, *original, 77, config);
-    ASSERT_GT(recorded.faults, 0) << name;  // scenario must be interesting
+      for (std::uint64_t seed : {77ull, 2024ull}) {
+        SCOPED_TRACE(std::string(name) + "@" + environment + " seed " +
+                     std::to_string(seed));
+        auto original = policy::make_policy(name);
+        const auto recorded = simulate_seeded(setup, *original, seed, config);
+        ASSERT_GT(recorded.faults, 0);  // scenario must be interesting
 
-    const auto faults = extract_faults(recorded);
-    model::ReplayFaultSource source(faults);
-    auto replayed_policy = policy::make_policy(name);
-    const auto replayed = simulate(setup, *replayed_policy, source, config);
-    expect_identical(recorded, replayed);
+        const auto faults = extract_faults(recorded);
+        model::ReplayFaultSource source(faults);
+        auto replayed_policy = policy::make_policy(name);
+        const auto replayed =
+            simulate(setup, *replayed_policy, source, config);
+        expect_identical(recorded, replayed);
+      }
+    }
   }
 }
 
