@@ -6,7 +6,7 @@
 // whole graph-executive runs.  Graph cells ride the exact same
 // machinery as classic cells — they become sim::CellJobs whose custom
 // ChunkRunner replays the graph executive per run index, so chunking,
-// budget waves, observers, cancellation, and JSONL streaming all apply
+// budget rounds, observers, cancellation, and JSONL streaming all apply
 // unchanged and results stay bit-identical across thread counts.
 //
 // Cell P is the probability every released instance meets the

@@ -26,7 +26,7 @@ struct SweepPerf {
   double wall_seconds = 0.0;
   /// Runs aggregated across all cells — cells x runs for fixed-count
   /// sweeps, the sum of per-cell stopping points for budgeted ones
-  /// (wave overshoot past a stopping chunk is excluded).
+  /// (chunks run past a stopping chunk are excluded).
   long long total_runs = 0;
   double runs_per_second = 0.0;  ///< total_runs / wall_seconds
   int threads = 0;               ///< parallelism cap actually applied

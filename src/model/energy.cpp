@@ -23,6 +23,24 @@ void EnergyMeter::charge_new_level(double frequency, double cycles) {
   spill_.push_back({frequency, cycles});
 }
 
+void EnergyMeter::settle(double frequency, const Tally& tally) {
+  total_ = tally.total;
+  total_cycles_ = tally.total_cycles;
+  for (std::size_t i = 0; i < slot_count_; ++i) {
+    if (slots_[i].frequency == frequency) {
+      slots_[i].cycles = tally.level_cycles;
+      return;
+    }
+  }
+  for (auto& entry : spill_) {
+    if (entry.frequency == frequency) {
+      entry.cycles = tally.level_cycles;
+      return;
+    }
+  }
+  charge_new_level(frequency, tally.level_cycles);
+}
+
 double EnergyMeter::cycles_at(double frequency) const noexcept {
   for (std::size_t i = 0; i < slot_count_; ++i) {
     if (slots_[i].frequency == frequency) return slots_[i].cycles;

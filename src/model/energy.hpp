@@ -41,6 +41,28 @@ class EnergyMeter {
     charge_new_level(level.frequency, cycles);
   }
 
+  /// The three sums a charge at one frequency adds to, held by a
+  /// caller that charges many times at one level: Tally::add makes the
+  /// same additions as charge(), in the same order, and settle() hands
+  /// the sums back.  The engine runs fault-free attempts this way.
+  struct Tally {
+    double total;
+    double total_cycles;
+    double level_cycles;
+
+    void add(const SpeedLevel& level, double cycles) noexcept {
+      total += level.energy(cycles);
+      total_cycles += cycles;
+      level_cycles += cycles;
+    }
+  };
+  Tally tally(double frequency) const noexcept {
+    return {total_, total_cycles_, cycles_at(frequency)};
+  }
+  /// Stores `tally`, taken from tally(frequency) and charged at least
+  /// once since (the level then has a slot, as after charge()).
+  void settle(double frequency, const Tally& tally);
+
   double total() const noexcept { return total_; }
   double cycles_at(double frequency) const noexcept;
   double total_cycles() const noexcept { return total_cycles_; }

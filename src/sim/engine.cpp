@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
+#include "util/next_up.hpp"
 #include "util/rng.hpp"
 
 namespace adacheck::sim {
 
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 int popcount(unsigned mask) noexcept { return std::popcount(mask); }
 
@@ -73,7 +72,7 @@ struct EngineState {
       mask |= processor == model::kAllReplicas
                   ? ~0u >> (32 - redundancy())
                   : 1u << processor;
-      cursor = std::nextafter(t, kInf);
+      cursor = util::next_up(t);
     }
     exposure = window_end;
     return mask;
@@ -103,6 +102,15 @@ struct EngineState {
     now += duration;
     result->meter.charge(level, cycles);
     return mask;
+  }
+
+  /// Banks `cycles` of work at an interval-end CSCP; `carry` is the
+  /// corruption the next attempt inherits.
+  void commit(double cycles, unsigned carry) {
+    ++result->checkpoints_cscp;
+    committed += cycles;
+    trace(TraceEventKind::kCommit, committed);
+    carry_mask = carry;
   }
 };
 
@@ -149,7 +157,9 @@ void validate_decision(const Decision& d) {
 /// planned sub length is preserved (the paper inserts checkpoints by
 /// length), so the last sub-interval may be shorter.
 struct Split {
+  double outer = 0.0;
   double sub = 0.0;
+  double last = 0.0;  ///< the last sub-interval's length
   int count = 1;
 };
 
@@ -160,9 +170,13 @@ Split split_interval(const Decision& d, double outer) {
   if (!(outer > 0.0) || !(sub > 0.0)) {
     throw std::invalid_argument("engine: non-positive checkpoint interval");
   }
-  if (d.inner == InnerKind::kNone) return {sub, 1};
-  const double n_real = outer / sub;
-  return {sub, std::max(1, static_cast<int>(std::ceil(n_real - 1e-9)))};
+  if (d.inner == InnerKind::kNone) return {outer, sub, outer, 1};
+  // ceil(outer / sub - 1e-9) without the libm call: truncate, then step
+  // up past a dropped fraction (exact wherever the int cast is defined).
+  const double n_real = outer / sub - 1e-9;
+  const int truncated = static_cast<int>(n_real);
+  const int count = std::max(1, truncated + (truncated < n_real ? 1 : 0));
+  return {outer, sub, outer - static_cast<double>(count - 1) * sub, count};
 }
 
 /// A validated decision plus the split of an attempt over its full
@@ -171,10 +185,31 @@ Split split_interval(const Decision& d, double outer) {
 struct Plan {
   Decision decision;
   Split full;
+  /// Remaining work from which no attempt is clamped, skipping the
+  /// divide in next_attempt: division by f > 0 rounds monotonically,
+  /// so every rc >= unclamped_from has rc / f >= unclamped_from / f >=
+  /// Itv.  Infinite when Itv * f fails that check (never skips).
+  double unclamped_from = std::numeric_limits<double>::infinity();
 
   explicit Plan(const Decision& d) : decision(d) {
     validate_decision(d);
-    if (!d.abort) full = split_interval(d, d.cscp_interval);
+    if (d.abort) return;
+    full = split_interval(d, d.cscp_interval);
+    const double f = d.speed.frequency;
+    const double work = d.cscp_interval * f;
+    if (work / f >= d.cscp_interval) unclamped_from = work;
+  }
+
+  /// The split of the next attempt with `remaining_cycles` of work
+  /// left: the plan clamped to the remaining work.  Interval lengths
+  /// are wall clock at the plan's speed; work is cycles.
+  Split next_attempt(double remaining_cycles) const {
+    if (remaining_cycles >= unclamped_from) return full;
+    const double remaining_time =
+        remaining_cycles / decision.speed.frequency;
+    return remaining_time < decision.cscp_interval
+               ? split_interval(decision, remaining_time)
+               : full;
   }
 };
 
@@ -205,13 +240,8 @@ AttemptOutcome execute_interval(EngineState<Source>& st, const Plan& plan) {
   const int n_rep = st.redundancy();
   const bool voting = n_rep >= 3;
 
-  // Clamp the plan to the remaining work.  Interval lengths are wall
-  // clock at the current speed; work is cycles.
-  const double remaining_time = st.remaining_cycles() / f;
-  const bool clamped = remaining_time < decision.cscp_interval;
-  const double itv_outer = clamped ? remaining_time : decision.cscp_interval;
-  const Split split =
-      clamped ? split_interval(decision, itv_outer) : plan.full;
+  const Split split = plan.next_attempt(st.remaining_cycles());
+  const double itv_outer = split.outer;
   const double itv_sub = split.sub;
   const int n_subs = split.count;
 
@@ -241,9 +271,7 @@ AttemptOutcome execute_interval(EngineState<Source>& st, const Plan& plan) {
 
   for (int i = 1; i <= n_subs; ++i) {
     st.bump_steps();
-    const double w =
-        i < n_subs ? itv_sub
-                   : itv_outer - static_cast<double>(n_subs - 1) * itv_sub;
+    const double w = i < n_subs ? itv_sub : split.last;
     corrupt.note(st.run_computation(level, w, i), i);
 
     const bool is_last = i == n_subs;
@@ -309,10 +337,7 @@ AttemptOutcome execute_interval(EngineState<Source>& st, const Plan& plan) {
   if (corrupt.corrupted() && votable()) {
     // NMR: repair the deviant minority and commit the interval.
     vote_correct(cscp_mask, 1);
-    st.carry_mask = corrupt.mask;
-    ++st.result->checkpoints_cscp;
-    st.committed += itv_outer * f;
-    st.trace(TraceEventKind::kCommit, st.committed);
+    st.commit(itv_outer * f, corrupt.mask);
     return AttemptOutcome::kCommittedVoted;
   }
 
@@ -344,21 +369,97 @@ AttemptOutcome execute_interval(EngineState<Source>& st, const Plan& plan) {
     return AttemptOutcome::kFaultDetected;
   }
 
-  // Agreement: the stored snapshot commits the whole interval.
-  ++st.result->checkpoints_cscp;
-  st.committed += itv_outer * f;
-  st.trace(TraceEventKind::kCommit, st.committed);
-  // A fault during the operation corrupts the running state after the
+  // Agreement: the stored snapshot commits the whole interval.  A
+  // fault during the operation corrupts the running state after the
   // committed snapshot; the next comparison will catch it.
-  st.carry_mask = cscp_mask;
+  st.commit(itv_outer * f, cscp_mask);
   return voted_this_interval ? AttemptOutcome::kCommittedVoted
                              : AttemptOutcome::kCommitted;
+}
+
+/// Commits, back to back, the attempts of `plan` that no fault
+/// reaches.  One peek at the next fault decides each attempt: when it
+/// lies at or past the end of the attempt's last exposure window, every
+/// window of execute_interval would find no fault, so the attempt is
+/// straight-line arithmetic — the same additions to the clocks and the
+/// meter, in the same order.  After each commit `after_commit` runs the
+/// run loop's bookkeeping and returns whether the plan stands.  Returns
+/// true when the run loop's own checks come next (a new plan, the work
+/// done, the deadline) and false when execute_interval must run the next
+/// attempt: a fault reaches it, or it would pass the step limit or
+/// charge negative cycles (both of which throw there).  Untraced runs
+/// with no carried corruption only.
+template <class Source, class AfterCommit>
+bool run_fault_free(EngineState<Source>& st, const Plan& plan,
+                    AfterCommit&& after_commit) {
+  // Copies: after_commit may replace the plan.
+  const model::SpeedLevel level = plan.decision.speed;
+  const InnerKind inner = plan.decision.inner;
+  const auto& costs = st.setup->costs;
+  const double f = level.frequency;
+  const bool overhead_exposed = st.setup->fault_model.faults_during_overhead;
+  const double op_cycles = inner == InnerKind::kScp   ? costs.store
+                           : inner == InnerKind::kCcp ? costs.compare
+                                                      : 0.0;
+  const double op_time = op_cycles / f;
+  const double cscp_cycles = costs.cscp();
+  const double cscp_time = cscp_cycles / f;
+  // run_overhead charges (and exposes) only positive-cost operations.
+  const auto add_overhead = [&](double& exposure, double& now,
+                                model::EnergyMeter::Tally& tally,
+                                double cycles, double time) {
+    if (cycles <= 0.0) return;
+    if (overhead_exposed) exposure += time;
+    now += time;
+    tally.add(level, cycles);
+  };
+
+  model::EnergyMeter::Tally tally = st.result->meter.tally(f);
+  bool charged = false;
+  bool loop_checks_next = false;
+  for (;;) {
+    const Split split = plan.next_attempt(st.remaining_cycles());
+    const auto n = static_cast<std::size_t>(split.count);
+    if (n > st.config->max_steps - st.steps || split.last < 0.0) break;
+    const double sub_cycles = split.sub * f;
+
+    double exposure = st.exposure;
+    double now = st.now;
+    model::EnergyMeter::Tally next = tally;
+    for (std::size_t i = 1; i < n; ++i) {
+      exposure += split.sub;
+      now += split.sub;
+      next.add(level, sub_cycles);
+      add_overhead(exposure, now, next, op_cycles, op_time);
+    }
+    exposure += split.last;
+    now += split.last;
+    next.add(level, split.last * f);
+    add_overhead(exposure, now, next, cscp_cycles, cscp_time);
+
+    int processor = 0;
+    if (st.faults->next_fault_after(st.exposure, processor) < exposure) break;
+
+    st.exposure = exposure;
+    st.now = now;
+    st.steps += n;
+    tally = next;
+    charged = true;
+    if (inner == InnerKind::kScp) st.result->checkpoints_scp += split.count - 1;
+    if (inner == InnerKind::kCcp) st.result->checkpoints_ccp += split.count - 1;
+    st.commit(split.outer * f, 0);
+    if (!after_commit() || st.now >= st.setup->task.deadline) {
+      loop_checks_next = true;
+      break;
+    }
+  }
+  if (charged) st.result->meter.settle(f, tally);
+  return loop_checks_next;
 }
 
 template <class Source>
 RunResult run(const SimSetup& setup, ICheckpointPolicy& policy,
               Source& fault_source, const EngineConfig& config) {
-  setup.validate();
   RunResult result;
 
   EngineState<Source> st;
@@ -392,6 +493,28 @@ RunResult run(const SimSetup& setup, ICheckpointPolicy& policy,
 
   const double work_eps = setup.task.cycles * 1e-12;
 
+  // Bookkeeping after every attempt: hand the policy the new state and
+  // take its next plan (Fig. 3/6/7 "else" branch after a fault; an
+  // optional replacement after a clean commit).  A voted commit lost
+  // nothing but spent fault budget, so it re-plans too.  Returns true
+  // while the current plan stands.
+  const auto after_attempt = [&](AttemptOutcome outcome) {
+    refresh_ctx();
+    if (st.remaining_cycles() <= work_eps) {
+      return false;  // done — the loop top records the outcome
+    }
+    if (outcome == AttemptOutcome::kFaultDetected ||
+        outcome == AttemptOutcome::kCommittedVoted) {
+      plan = Plan(policy.on_fault(ctx));
+      return false;
+    }
+    if (auto replacement = policy.on_commit(ctx)) {
+      plan = Plan(*replacement);
+      return false;
+    }
+    return true;
+  };
+
   for (;;) {
     if (st.remaining_cycles() <= work_eps) {
       result.outcome = st.now <= setup.task.deadline
@@ -424,20 +547,15 @@ RunResult run(const SimSetup& setup, ICheckpointPolicy& policy,
       st.last_frequency = decision.speed.frequency;
     }
 
-    const AttemptOutcome outcome = execute_interval(st, plan);
-    refresh_ctx();
-    if (st.remaining_cycles() <= work_eps) {
-      continue;  // done — the loop top records the outcome
+    // A trace records every window, so traced runs take the general
+    // path throughout; so does an attempt that inherits corruption.
+    if (!config.record_trace && st.carry_mask == 0 &&
+        run_fault_free(st, plan, [&] {
+          return after_attempt(AttemptOutcome::kCommitted);
+        })) {
+      continue;
     }
-    if (outcome == AttemptOutcome::kFaultDetected ||
-        outcome == AttemptOutcome::kCommittedVoted) {
-      // Both consume fault budget; the policy re-plans (Fig. 3/6/7
-      // "else" branch).  For a voted commit nothing was lost, but the
-      // remaining budget changed, so the plan may too.
-      plan = Plan(policy.on_fault(ctx));
-    } else if (auto replacement = policy.on_commit(ctx)) {
-      plan = Plan(*replacement);
-    }
+    after_attempt(execute_interval(st, plan));
   }
 
   result.energy = result.meter.total();
@@ -461,11 +579,20 @@ void SimSetup::validate() const {
 RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
                    model::FaultSource& fault_source,
                    const EngineConfig& config) {
+  setup.validate();
   return run(setup, policy, fault_source, config);
 }
 
 RunResult simulate_seeded(const SimSetup& setup, ICheckpointPolicy& policy,
                           std::uint64_t seed, const EngineConfig& config) {
+  setup.validate();
+  return simulate_seeded_unchecked(setup, policy, seed, config);
+}
+
+RunResult simulate_seeded_unchecked(const SimSetup& setup,
+                                    ICheckpointPolicy& policy,
+                                    std::uint64_t seed,
+                                    const EngineConfig& config) {
   // Stack-constructed sources keep the per-run hot path allocation-free
   // (the same three-way dispatch as model::make_fault_source).
   util::Xoshiro256 rng(seed);

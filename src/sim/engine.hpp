@@ -70,7 +70,8 @@ struct EngineConfig {
 };
 
 /// Runs one job to completion / deadline / abort and returns the
-/// outcome.  `fault_source` supplies fault arrival times on the
+/// outcome; throws std::invalid_argument when setup.validate() does.
+/// `fault_source` supplies fault arrival times on the
 /// *exposure* clock (cumulative vulnerable time); use
 /// model::PoissonFaultSource for stochastic runs or
 /// model::ReplayFaultSource for deterministic replay.
@@ -83,5 +84,12 @@ RunResult simulate(const SimSetup& setup, ICheckpointPolicy& policy,
 /// or Markov-modulated burst — see model::make_fault_source).
 RunResult simulate_seeded(const SimSetup& setup, ICheckpointPolicy& policy,
                           std::uint64_t seed, const EngineConfig& config = {});
+
+/// simulate_seeded for a setup that already passed SimSetup::validate():
+/// the Monte-Carlo loop validates each cell once, not once per run.
+RunResult simulate_seeded_unchecked(const SimSetup& setup,
+                                    ICheckpointPolicy& policy,
+                                    std::uint64_t seed,
+                                    const EngineConfig& config = {});
 
 }  // namespace adacheck::sim

@@ -37,12 +37,14 @@ namespace adacheck::sim {
 inline constexpr int kRunChunk = 256;
 
 /// Precision targets for sequential stopping.  When enabled() (any
-/// target set), a cell runs in deterministic seed-indexed waves of
-/// kRunChunk-run chunks until every set target is met at a chunk
-/// boundary, instead of a fixed MonteCarloConfig::runs count.  The
-/// stop rule depends only on the completed-chunk prefix in index
-/// order — never on thread scheduling — so budgeted results are
-/// bit-identical across thread counts.
+/// target set), a cell runs its seed-indexed kRunChunk-run chunks in
+/// rounds — its floor first, then ceil(P / live cells) more chunks per
+/// round for P-way parallelism, so one chunk at a time in the caller —
+/// until every set target is met at a chunk boundary, instead of a
+/// fixed MonteCarloConfig::runs count.  The stop rule depends only on
+/// the completed-chunk prefix in index order — never on thread
+/// scheduling or round sizes — so budgeted results are bit-identical
+/// across thread counts.
 struct RunBudget {
   /// Stop once the Wilson 95% half-width of P is at or below this
   /// (equivalently of P(miss): the interval is swap-symmetric).

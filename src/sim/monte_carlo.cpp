@@ -40,10 +40,12 @@ struct Chunk {
 };
 
 /// Per-job scheduling state.  Unbudgeted jobs place all their chunks
-/// in round 0 and never revisit them; budgeted jobs grow in doubling
-/// waves, absorbing each wave's chunks in index order at the round
-/// boundary until the stop rule fires.  Everything here is a pure
-/// function of the job's config — never of thread scheduling — which
+/// in round 0 and never revisit them; budgeted jobs start with their
+/// floor and grow by a few chunks per round, absorbing each round's
+/// chunks in index order at the round boundary until the stop rule
+/// fires.  Where a cell stops is a pure function of the job's config —
+/// the rule only ever sees index-ordered chunk prefixes, however many
+/// rounds (a function of the thread count) it took to get there — which
 /// is what makes budget outcomes bit-identical across thread counts.
 struct JobPlan {
   bool budgeted = false;
@@ -69,8 +71,9 @@ MetricSet run_chunk(const SimSetup& setup, const PolicyFactory& factory,
     // Reuse the chunk's policy instance when it can re-arm itself;
     // otherwise pay the factory allocation per run.
     if (!policy || !policy->reset()) policy = factory();
+    // validate_job checked the setup once for the whole cell.
     const RunResult result =
-        simulate_seeded(setup, *policy, seed, engine_config);
+        simulate_seeded_unchecked(setup, *policy, seed, engine_config);
     const bool validation_failed =
         config.validate && !validate_all(setup, result).empty();
     metrics.observe({setup, result, base_freq, validation_failed});
@@ -122,7 +125,7 @@ struct SweepTracker {
 };
 
 /// Aligns a run count up to the chunk grain, capped at `max`.  Wide
-/// arithmetic so the doubling schedule cannot overflow near INT_MAX.
+/// arithmetic so a schedule cannot overflow near INT_MAX.
 int align_runs(long long runs, int max) {
   const long long aligned =
       (runs + kRunChunk - 1) / kRunChunk * kRunChunk;
@@ -141,7 +144,7 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
   // Appends job `j`'s chunks covering run indices [plan.scheduled,
   // end) to the queue.  Chunk boundaries are always kRunChunk-aligned
   // (the cap is the only place a short chunk can appear), so a given
-  // run index lands in the same chunk no matter how many waves it
+  // run index lands in the same chunk no matter how many rounds it
   // took to get there.
   const auto schedule_runs = [&](std::size_t j, int end) {
     for (int b = plans[j].scheduled; b < end; b += kRunChunk) {
@@ -152,8 +155,8 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
   };
 
   // Round 0: every chunk of every unbudgeted job (job-major,
-  // contiguous — the exact pre-budget queue layout) plus the first
-  // wave of each budgeted job.
+  // contiguous — the exact pre-budget queue layout) plus each budgeted
+  // job's floor, the runs its stop rule needs before it can fire.
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const auto& config = jobs[j].config;
     if (config.budget.enabled()) {
@@ -254,9 +257,20 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
   // The round loop: execute the scheduled chunk range, then advance
   // every live budgeted job — absorb its newly completed chunks in
   // index order, evaluating the stop rule at each chunk boundary, and
-  // either finalize the cell or schedule the next doubling wave.
-  // Rounds end at barriers, so the stop decision only ever sees fully
-  // completed prefixes; which worker ran which chunk is invisible.
+  // either finalize the cell or give it more chunks.  Rounds end at
+  // barriers, so the stop decision only ever sees fully completed
+  // prefixes; which worker ran which chunk is invisible.
+  //
+  // Each round gives every live cell ceil(width / live cells) more
+  // chunks, where width is the parallelism the round can apply: the
+  // next round keeps every thread busy, and a chunk past a cell's
+  // stopping point runs only when fewer cells than threads are left.
+  // In the caller (width 1) no run past a stopping chunk executes.
+  const int width =
+      options.threads == 1
+          ? 1
+          : std::min(util::ThreadPool::shared().size() + 1,
+                     options.threads > 0 ? options.threads : INT_MAX);
   std::size_t round_begin = 0;
   int applied = 1;
   while (round_begin < chunks.size()) {
@@ -281,6 +295,7 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
     }
     if (skipped.load(std::memory_order_relaxed)) throw SweepCancelled();
 
+    long long live = 0;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       auto& plan = plans[j];
       if (!plan.budgeted || plan.done) continue;
@@ -294,9 +309,10 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
         }
         ++plan.absorbed;
         if (plan.precision.should_stop()) {
-          // Later chunks of this wave (already executed) are discarded
-          // unabsorbed: the result is the stopping prefix, which is
-          // the same prefix at any thread count.
+          // Later chunks of this round (executed only when fewer cells
+          // than threads were live) are discarded unabsorbed: the
+          // result is the stopping prefix, which is the same prefix at
+          // any thread count.
           plan.done = true;
           if (obs::Registry::instance().enabled()) {
             SweepMetrics::get().budget_stops.add(1);
@@ -314,15 +330,22 @@ std::vector<CellResult> run_cells_ex(const std::vector<CellJob>& jobs,
           options.observer->on_progress(tracker->progress);
         }
       } else {
-        // Not stopped with the cap unreached: double the schedule.
+        ++live;  // not stopped, so its cap is unreached
+      }
+    }
+    if (live > 0) {
+      const long long step = (width + live - 1) / live * kRunChunk;
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        auto& plan = plans[j];
+        if (!plan.budgeted || plan.done) continue;
         const int begin = plan.scheduled;
-        schedule_runs(j, align_runs(2LL * plan.scheduled, plan.max));
-        partials.resize(chunks.size());
+        schedule_runs(j, align_runs(plan.scheduled + step, plan.max));
         if (tracker) {
           std::lock_guard<std::mutex> lock(tracker->callback_mu);
           tracker->progress.runs_total += plan.scheduled - begin;
         }
       }
+      partials.resize(chunks.size());
     }
     round_begin = round_end;
   }

@@ -6,14 +6,17 @@
 // CellStats recorder plus whatever extra recorders the config's
 // MetricSuite names.  By default a cell executes a fixed `runs` count
 // (the paper's "repeated 10,000 times"); with a RunBudget configured
-// it instead runs in doubling waves of kRunChunk-run chunks until the
-// targeted confidence-interval half-widths are achieved or the hard
-// cap is hit.  Either way runs are seeded per-index from the master
-// seed and aggregated in fixed-size chunks merged in index order —
-// and for budgets, the stop rule is evaluated only at chunk
-// boundaries over that same index-ordered prefix — so all recorder
-// values (and the budget's stopping point) are bit-identical
-// regardless of thread count.
+// it instead runs kRunChunk-run chunks in rounds until the targeted
+// confidence-interval half-widths are achieved or the hard cap is hit:
+// first its floor (min_runs), then each round ceil(P / live cells)
+// more chunks per live cell, where P is the parallelism applied (1 in
+// the caller, where no run past a cell's stopping chunk executes).
+// Either way runs are seeded per-index from the master seed and
+// aggregated in fixed-size chunks merged in index order — and for
+// budgets, the stop rule is evaluated only at chunk boundaries over
+// that same index-ordered prefix — so all recorder values (and the
+// budget's stopping point) are bit-identical regardless of thread
+// count.
 //
 // Execution happens on the shared util::ThreadPool: one cell
 // (`run_cell`) chunks its runs onto the persistent workers, and a
@@ -76,7 +79,7 @@ CellResult run_cell_ex(const SimSetup& setup, const PolicyFactory& factory,
 /// Executes one chunk [begin, end) of a cell's runs and returns the
 /// fully-observed MetricSet for it.  Custom workloads (graph cells)
 /// supply one of these instead of a SimSetup/PolicyFactory pair; the
-/// runner still owns chunking, budget waves, observers, and merge
+/// runner still owns chunking, budget rounds, observers, and merge
 /// order, so the determinism contract is inherited for free.  Must
 /// derive all randomness from `config.seed` and the run indices.
 using ChunkRunner =

@@ -41,10 +41,11 @@ struct CellResult {
 
 /// Chunk-granular progress of one run_cells_ex execution.  For budgeted
 /// cells (MonteCarloConfig::budget) runs_total is the runs scheduled
-/// so far and grows as waves are added — it is an estimate that only
-/// settles when every budgeted cell has stopped; runs_done counts
-/// every executed run, including wave overshoot past a cell's
-/// stopping chunk, so runs_done == runs_total on the final call.
+/// so far and grows each round — it is an estimate that only settles
+/// when every budgeted cell has stopped; runs_done counts every
+/// executed run, including chunks run past a cell's stopping chunk
+/// (only when fewer cells than threads were left), so runs_done ==
+/// runs_total on the final call.
 struct SweepProgress {
   std::size_t cells_total = 0;
   std::size_t cells_done = 0;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -210,6 +211,9 @@ SimSetup high_p_setup() {
   return basic_setup(6'000.0, 10'000.0, 10, 1.0e-4);
 }
 
+/// A tight deadline: P near 0.64, so the half-width shrinks slowly.
+SimSetup mid_p_setup() { return basic_setup(6'000.0, 7'000.0, 10, 2.0e-4); }
+
 /// P(miss) is tiny: Wilson half-width cannot reach 1e-4-level targets
 /// within a few thousand runs.
 SimSetup rare_event_setup() { return basic_setup(500.0, 10'000.0, 10, 1e-6); }
@@ -273,6 +277,21 @@ TEST(BudgetedRun, BitIdenticalAcrossThreadCounts) {
   const auto a = run_cell(high_p_setup(), factory, serial);
   const auto b = run_cell(high_p_setup(), factory, parallel);
   expect_same_stats(a, b);
+
+  // Stops between powers of two on a cell with P near 0.64: the serial
+  // schedule reaches them one chunk at a time, the parallel one several
+  // chunks a round.
+  for (const auto& [target, stop] :
+       {std::pair{0.035, 768u}, std::pair{0.028, 1'280u},
+        std::pair{0.024, 1'792u}}) {
+    SCOPED_TRACE(target);
+    serial.budget.target_p_halfwidth = target;
+    parallel.budget.target_p_halfwidth = target;
+    const auto one = run_cell(mid_p_setup(), factory, serial);
+    const auto four = run_cell(mid_p_setup(), factory, parallel);
+    EXPECT_EQ(one.completion.trials(), stop);
+    expect_same_stats(one, four);
+  }
 }
 
 TEST(BudgetedRun, MixedJobListKeepsBothPathsIdenticalAcrossThreads) {
@@ -332,6 +351,67 @@ TEST(BudgetedRun, BudgetedCellMatchesStandaloneRun) {
   expect_same_stats(batch[1], standalone);
 }
 
+// --- the round schedule --------------------------------------------------
+
+/// A synthetic budgeted cell whose run i succeeds iff i is even, so
+/// after n runs its Wilson half-width is exactly
+/// wilson95_halfwidth(n / 2, n); its runner counts executed chunks.
+CellJob counted_cell(int stop_runs, int max_runs, std::atomic<int>& chunks) {
+  MonteCarloConfig config;
+  config.runs = max_runs;
+  config.budget.min_runs = 512;
+  config.budget.max_runs = max_runs;
+  // Met exactly at stop_runs (the half-width shrinks with n); a stop at
+  // the cap has an unreachable target.
+  config.budget.target_p_halfwidth =
+      stop_runs < max_runs ? util::wilson95_halfwidth(stop_runs / 2, stop_runs)
+                           : 1e-9;
+  const auto setup = basic_setup(1.0, 1.0);
+  return {.setup = setup,
+          .factory = {},
+          .config = config,
+          .runner = [setup, &chunks](const MonteCarloConfig&, int begin,
+                                     int end) {
+            chunks.fetch_add(1, std::memory_order_relaxed);
+            MetricSet metrics = MetricSet::for_cell(setup, nullptr);
+            for (int i = begin; i < end; ++i) {
+              metrics.cell_stats().completion.add(i % 2 == 0);
+            }
+            return metrics;
+          }};
+}
+
+/// Runs the cells and expects each to stop at its planned run count
+/// having executed no chunk past its stopping point.
+void expect_no_chunk_past_a_stop(const std::vector<int>& stops, int max_runs,
+                                 int threads) {
+  std::vector<std::atomic<int>> chunks(stops.size());
+  std::vector<CellJob> jobs;
+  for (std::size_t j = 0; j < stops.size(); ++j) {
+    jobs.push_back(counted_cell(stops[j], max_runs, chunks[j]));
+  }
+  const auto stats = run_cells(jobs, threads);
+  for (std::size_t j = 0; j < stops.size(); ++j) {
+    SCOPED_TRACE("cell " + std::to_string(j));
+    EXPECT_EQ(stats[j].completion.trials(),
+              static_cast<std::size_t>(stops[j]));
+    EXPECT_EQ(chunks[j].load() * kRunChunk, stops[j]);
+  }
+}
+
+TEST(RoundSchedule, SerialRunsNoChunkPastAStop) {
+  // Stops at the floor, between powers of two, and at the cap.
+  expect_no_chunk_past_a_stop({512, 768, 1'280, 2'048}, 2'048, 1);
+}
+
+TEST(RoundSchedule, ParallelRunsNoChunkPastAStopWhileCellsOutnumberThreads) {
+  // While at least four cells are live, each gets one chunk a round.
+  // The two cap cells, left alone after 1280 runs, get two chunks a
+  // round, and the cap clips their last one: nothing runs past a stop.
+  expect_no_chunk_past_a_stop(
+      {512, 768, 1'280, 2'048, 512, 768, 1'280, 2'048}, 2'048, 4);
+}
+
 // --- observer interplay --------------------------------------------------
 
 class RecordingObserver final : public ISweepObserver {
@@ -383,7 +463,8 @@ TEST(BudgetedRun, ObserverSeesEachCellOnceAndFinalProgressSettles) {
     EXPECT_EQ(observer.trials[at], results[j].stats.completion.trials());
   }
   // Final progress: all cells done, runs_done drained the schedule
-  // (including any wave overshoot), at least as many as aggregated.
+  // (including any chunks run past a stop), at least as many as
+  // aggregated.
   EXPECT_EQ(observer.last.cells_done, 2u);
   EXPECT_EQ(observer.last.cells_total, 2u);
   EXPECT_EQ(observer.last.runs_done, observer.last.runs_total);

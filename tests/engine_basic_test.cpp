@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "tests/test_helpers.hpp"
@@ -144,6 +146,24 @@ TEST(EngineBasic, StepLimitGuardsDegeneratePlans) {
   model::FaultTrace trace;
   model::ReplayFaultSource source(trace);
   EXPECT_THROW(simulate(setup, policy, source, config), std::runtime_error);
+
+  // Five fault-free attempts of ten sub-intervals each, traced or not:
+  // the limit counts across attempts run back to back, exactly at 50.
+  const auto plan = testutil::inner_plan(setup, 200.0, 20.0, InnerKind::kScp);
+  for (const bool record_trace : {false, true}) {
+    SCOPED_TRACE(record_trace ? "traced" : "untraced");
+    config.record_trace = record_trace;
+    config.max_steps = 49;
+    ScriptedPolicy over(plan);
+    EXPECT_THROW(simulate_seeded(setup, over, 1, config), std::runtime_error);
+    config.max_steps = 50;
+    ScriptedPolicy at(plan);
+    const auto run = simulate_seeded(setup, at, 1, config);
+    EXPECT_TRUE(run.completed());
+    EXPECT_EQ(run.checkpoints_cscp, 5);
+    EXPECT_EQ(run.checkpoints_scp, 45);
+    EXPECT_EQ(at.commit_calls, 4);  // none after the final commit
+  }
 }
 
 TEST(EngineBasic, RejectsInvalidDecisions) {
@@ -170,12 +190,28 @@ TEST(EngineBasic, FaultBeyondExecutionNeverFires) {
 }
 
 TEST(EngineBasic, SetupValidationPropagates) {
-  auto setup = basic_setup(100.0, 1'000.0);
-  setup.task.cycles = -5.0;
-  ScriptedPolicy policy(plain_plan(setup, 10.0));
-  model::FaultTrace trace;
-  model::ReplayFaultSource source(trace);
-  EXPECT_THROW(simulate(setup, policy, source), std::invalid_argument);
+  // The Monte-Carlo loop validates a cell once and then skips the check
+  // per run; the public entry points still check every call.
+  const auto valid = basic_setup(100.0, 1'000.0);
+  std::vector<std::pair<const char*, SimSetup>> invalid;
+  invalid.emplace_back("task", valid);
+  invalid.back().second.task.cycles = -5.0;
+  invalid.emplace_back("costs", valid);
+  invalid.back().second.costs.store = -1.0;
+  invalid.emplace_back("fault model", valid);
+  invalid.back().second.fault_model.processors = 1;
+  invalid.emplace_back("environment", valid);
+  invalid.back().second.environment.common_cause_fraction = 2.0;
+  for (const auto& [part, setup] : invalid) {
+    SCOPED_TRACE(part);
+    ScriptedPolicy policy(plain_plan(valid, 10.0));
+    model::FaultTrace trace;
+    model::ReplayFaultSource source(trace);
+    EXPECT_THROW(simulate(setup, policy, source), std::invalid_argument);
+    EXPECT_THROW(simulate_seeded(setup, policy, 7), std::invalid_argument);
+  }
+  ScriptedPolicy policy(plain_plan(valid, 10.0));
+  EXPECT_TRUE(simulate_seeded(valid, policy, 7).completed());
 }
 
 }  // namespace
